@@ -21,7 +21,7 @@ from padicforms.derham import (
     rational_poincare_dims,
 )
 from padicforms.divided import gamma_tensor_oracle
-from padicforms.linalg import p_local_cohomology
+from padicforms.linalg import StructuralError, p_local_cohomology
 from padicforms.massey import (
     DgaData,
     UndefinedMasseyProduct,
@@ -114,9 +114,21 @@ def build_parser():
 
 
 def resolve_space(token):
+    """A library space by name, or a space file given as @path.
+
+    An unreadable file or a face table that breaks the simplicial identities
+    is a configuration error.
+    """
     if token.startswith("@"):
-        with open(token[1:], encoding="utf-8") as fh:
-            return SimplicialSet.load(fh.read())
+        path = token[1:]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return SimplicialSet.load(fh.read())
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read space file {path}: {exc.strerror}") from exc
+        except StructuralError as exc:
+            raise ConfigurationError(f"bad space file {path}: {exc}") from exc
     name, _, arg = token.partition(":")
     return standard_space(name, int(arg) if arg else None)
 
@@ -365,8 +377,7 @@ def run_space(args, config):
     else:
         if not args.file:
             raise ConfigurationError("space load needs --file")
-        with open(args.file, encoding="utf-8") as fh:
-            space = SimplicialSet.load(fh.read())
+        space = resolve_space("@" + args.file)
     return space_report(manifest, space), 0
 
 

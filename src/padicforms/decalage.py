@@ -15,13 +15,15 @@ level families with the Koszul differential.
 from fractions import Fraction
 
 from padicforms.linalg import (
+    IntFactorization,
     SparseIntMatrix,
     StructuralError,
     cohomology,
+    columns_to_rows,
     complete_basis,
     hnf_rows,
     kernel_basis,
-    solve_int,
+    kernel_mod,
 )
 from padicforms.simplicial import delta, normalized_cochain_complex
 from padicforms.products import cup_on_vectors
@@ -32,40 +34,26 @@ class ShiftedComplex:
 
     bases[n] is the canonical (HNF) row basis of the degree-n lattice inside
     C^n; diffs[n] expresses the ambient differential in these bases, with
-    integer entries (checked).
+    integer entries (checked).  Each degree keeps the factorization of its
+    basis, made on first use, for ``coordinates``.
     """
 
     def __init__(self, base_complex, bases, label):
         self.base = base_complex
         self.bases = bases
         self.label = label
+        self._factors = {}
         self.diffs = []
         for n in range(len(bases)):
-            target = bases[n + 1] if n + 1 < len(bases) else []
             amb = base_complex.diff(n)
             cols = []
             for vec in bases[n]:
-                img = amb.mul_vector(vec)
-                if not any(img):
-                    cols.append([0] * len(target))
-                    continue
-                if not target:
-                    raise StructuralError(
-                        f"{label}: differential escapes the truncated lattice")
-                tmat = SparseIntMatrix(
-                    len(img), len(target),
-                    {(i, j): target[j][i] for j in range(len(target))
-                     for i in range(len(img)) if target[j][i]})
-                sol = solve_int(tmat, img)
+                sol = self.coordinates(n + 1, amb.mul_vector(vec))
                 if sol is None:
                     raise StructuralError(
                         f"{label}: differential is not lattice-valued in degree {n}")
                 cols.append(sol)
-            rows = len(target)
-            self.diffs.append(SparseIntMatrix(
-                rows, len(bases[n]),
-                {(i, j): cols[j][i] for j in range(len(cols))
-                 for i in range(rows) if cols[j][i]}))
+            self.diffs.append(SparseIntMatrix.from_columns(cols, self.dim(n + 1)))
 
     def dim(self, n):
         return len(self.bases[n]) if 0 <= n < len(self.bases) else 0
@@ -79,15 +67,19 @@ class ShiftedComplex:
         d_prev = self.diff(n - 1) if n > 0 else SparseIntMatrix.zero(self.dim(0), 0)
         return cohomology(d_prev, self.diff(n), "Z", p)
 
-    def contains(self, n, vector):
-        """Ambient integer vector membership in the degree-n lattice."""
+    def coordinates(self, n, vector):
+        """Integer coordinates of an ambient vector in the degree-n basis, or
+        None when the vector is not in the lattice."""
         basis = self.bases[n] if n < len(self.bases) else []
         if not basis:
-            return not any(vector)
-        mat = SparseIntMatrix(len(vector), len(basis),
-                              {(i, j): basis[j][i] for j in range(len(basis))
-                               for i in range(len(vector)) if basis[j][i]})
-        return solve_int(mat, list(vector)) is not None
+            return None if any(vector) else []
+        if n not in self._factors:
+            self._factors[n] = IntFactorization.from_columns(basis, len(basis[0]))
+        return self._factors[n].solve(vector)
+
+    def contains(self, n, vector):
+        """Ambient integer vector membership in the degree-n lattice."""
+        return self.coordinates(n, vector) is not None
 
 
 def _shift_exponent_d(n, is_cocycle):
@@ -140,13 +132,8 @@ def eta_p(complex_, p):
     bases = []
     for n in range(top + 1):
         dim = complex_.dim(n)
-        d = complex_.diff(n)
-        # y with dy = p z: kernel of [d | pI] projected to the first block
-        entries = dict(d.entries)
-        for i in range(d.rows):
-            entries[(i, dim + i)] = p
-        big = SparseIntMatrix(d.rows, dim + d.rows, entries)
-        ker = [col[:dim] for col in kernel_basis(big)]
+        # y with dy = p z
+        ker = kernel_mod(complex_.diff(n), p)
         scaled = [[p ** n * x for x in vec] for vec in ker]
         bases.append(hnf_rows(scaled, dim))
     return ShiftedComplex(complex_, bases, f"eta_{p}")
@@ -257,20 +244,12 @@ class VLevels:
         for vec in src.bases[k] if k < len(src.bases) else []:
             img = [sum(amb[r][j] * vec[j] for j in range(len(vec)))
                    for r in range(len(amb))]
-            if not any(img):
-                cols.append([0] * tgt.dim(k))
-                continue
-            basis = tgt.bases[k]
-            tmat = SparseIntMatrix(
-                len(img), len(basis),
-                {(i, j): basis[j][i] for j in range(len(basis))
-                 for i in range(len(img)) if basis[j][i]})
-            sol = solve_int(tmat, img)
+            sol = tgt.coordinates(k, img)
             if sol is None:
                 raise StructuralError("structure map left the shifted lattice")
             cols.append(sol)
-        return [[Fraction(cols[j][i]) for j in range(len(cols))]
-                for i in range(tgt.dim(k))]
+        return [[Fraction(x) for x in row]
+                for row in columns_to_rows(cols, tgt.dim(k))]
 
     def face_matrix(self, n, i, k):
         key = (n, i, k)
@@ -295,16 +274,7 @@ class VLevels:
         amb2 = [sum(src.bases[k2][j][r] * v2[j] for j in range(len(v2)))
                 for r in range(self.space(n).n_cells(k2))]
         prod = cup_on_vectors(self.space(n), k1, k2, amb1, amb2, "Z")
-        basis = src.bases[k1 + k2] if k1 + k2 < len(src.bases) else []
-        if not basis:
-            if any(prod):
-                raise StructuralError("product left the lattice range")
-            return []
-        tmat = SparseIntMatrix(
-            len(prod), len(basis),
-            {(i, j): basis[j][i] for j in range(len(basis))
-             for i in range(len(prod)) if basis[j][i]})
-        sol = solve_int(tmat, prod)
+        sol = src.coordinates(k1 + k2, prod)
         if sol is None:
             raise StructuralError("product left the shifted lattice")
         return [Fraction(x) for x in sol]

@@ -14,6 +14,7 @@ over the local ring at p.
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from padicforms.arith import valuation
 from padicforms.divided import (
@@ -27,7 +28,9 @@ from padicforms.divided import (
     variable,
 )
 from padicforms.linalg import (
+    PLocalFactorization,
     StructuralError,
+    columns_to_rows,
     lattice_membership,
     p_local_cohomology,
     p_local_kernel,
@@ -336,6 +339,7 @@ class SectionComplex:
         self.offsets = {}
         self.sections = {}
         self._solvers = {}
+        self._diffs = {}
         # one degree above q_max so the top cohomology sees its full kernel
         for k in range(q_max + 2):
             self.sections[k] = self._solve_degree(k)
@@ -403,30 +407,28 @@ class SectionComplex:
                         rows[off_t + r][off_s + j] = dmat[r][j]
         return rows
 
-    def section_matrix(self, k):
-        cols = self.sections.get(k, [])
-        offs, total = self.cell_block(k)
-        return [[col[r] for col in cols] for r in range(total)]
-
     def _solver(self, k):
+        """The factorization of the degree-k section basis, made once."""
         if k not in self._solvers:
-            self._solvers[k] = self.section_matrix(k)
+            self._solvers[k] = PLocalFactorization.from_columns(
+                self.sections.get(k, []), self.cell_block(k)[1], self.prime)
         return self._solvers[k]
 
     def express(self, k, ambient_vec):
         """Coordinates of an ambient vector in the degree-k section basis."""
-        sol = p_local_solve(self._solver(k), ambient_vec, self.prime)
+        sol = self._solver(k).solve(ambient_vec)
         if sol is None:
             raise StructuralError("vector is not a section of the expected degree")
         return sol
 
     def diff_in_sections(self, k):
         """The differential as a matrix from degree-k to degree-(k+1) sections."""
-        amb = self.ambient_diff(k)
-        cols = [self.express(k + 1, mat_vec(amb, sec))
-                for sec in self.sections.get(k, [])]
-        n_out = len(self.sections.get(k + 1, []))
-        return [[cols[j][r] for j in range(len(cols))] for r in range(n_out)]
+        if k not in self._diffs:
+            amb = self.ambient_diff(k)
+            cols = [self.express(k + 1, mat_vec(amb, sec))
+                    for sec in self.sections.get(k, [])]
+            self._diffs[k] = columns_to_rows(cols, len(self.sections.get(k + 1, [])))
+        return self._diffs[k]
 
     def multiply_sections(self, k1, v1, k2, v2):
         """Product of two sections given in section coordinates."""
@@ -535,16 +537,9 @@ def evaluate_at_point(element, point):
         term = c
         for a, x in zip(mon.exponents, point):
             if a:
-                term *= Fraction(x) ** a / _fact(a)
+                term *= Fraction(x) ** a / factorial(a)
         total += term
     return total
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def extendability_witness(weight, prime):
@@ -588,6 +583,7 @@ class LevelModule:
         self.identity_basis = not cocycles
         self.bases = {}
         self._face_cache = {}
+        self._solvers = {}
         for n in range(max_level + 1):
             if cocycles:
                 dmat = levels.diff_matrix(n, k)
@@ -615,10 +611,10 @@ class LevelModule:
     def _from_ambient(self, n, vec):
         if self.identity_basis:
             return list(vec)
-        basis = self.bases[n]
-        mat = [[basis[j][r] for j in range(len(basis))]
-               for r in range(self.levels.dims(n, self.k))]
-        sol = p_local_solve(mat, vec, self.prime)
+        if n not in self._solvers:
+            self._solvers[n] = PLocalFactorization.from_columns(
+                self.bases[n], self.levels.dims(n, self.k), self.prime)
+        sol = self._solvers[n].solve(vec)
         if sol is None:
             raise StructuralError("image escaped the level submodule")
         return sol
@@ -638,9 +634,7 @@ class LevelModule:
                     e = [Fraction(1) if t == j else Fraction(0)
                          for t in range(self.dim(n))]
                     cols.append(self.face(n, i, e))
-                self._face_cache[(n, i)] = [
-                    [cols[j][r] for j in range(len(cols))]
-                    for r in range(self.dim(n - 1))]
+                self._face_cache[(n, i)] = columns_to_rows(cols, self.dim(n - 1))
         return self._face_cache[(n, i)]
 
 
@@ -659,17 +653,15 @@ def moore_complex(module, top_level):
     diffs = {}
     for m in range(1, top_level + 1):
         face0 = module.face_matrix(m, 0)
+        prev = PLocalFactorization.from_columns(
+            bases[m - 1], module.dim(m - 1), module.prime)
         cols = []
         for b in bases[m]:
-            img = mat_vec(face0, b)
-            prev = [[bases[m - 1][j][r] for j in range(len(bases[m - 1]))]
-                    for r in range(module.dim(m - 1))]
-            sol = p_local_solve(prev, img, module.prime)
+            sol = prev.solve(mat_vec(face0, b))
             if sol is None:
                 raise StructuralError("Moore differential escaped N")
             cols.append(sol)
-        diffs[m] = [[cols[j][r] for j in range(len(cols))]
-                    for r in range(len(bases[m - 1]))]
+        diffs[m] = columns_to_rows(cols, len(bases[m - 1]))
     return bases, diffs
 
 
@@ -703,9 +695,8 @@ def homotopy_groups_check(k, weight, prime):
         gen = DividedMonomial((0,) * k, tuple(range(1, k + 1)))
         lv = levels.level(k)
         amb = lv.to_vector(OmegaElement.monomial(gen, (-1) ** k), k)
-        nb = [[bases[k][j][r] for j in range(len(bases[k]))]
-              for r in range(levels.dims(k, k))]
-        coords = p_local_solve(nb, amb, prime)
+        coords = PLocalFactorization.from_columns(
+            bases[k], levels.dims(k, k), prime).solve(amb)
         report["stated_generator_in_moore"] = coords is not None
         if coords is not None:
             cls = homology.class_coordinates(coords)

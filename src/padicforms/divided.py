@@ -18,8 +18,9 @@ product and checks the divided-power model against symmetric invariants.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from padicforms.arith import valuation
+from padicforms.arith import binomial, valuation
 
 
 class TruncationError(RuntimeError):
@@ -150,7 +151,7 @@ class OmegaElement:
                 for a, b in zip(m1.exponents, m2.exponents):
                     exps.append(a + b)
                     if a and b:
-                        coeff *= _binom(a + b, a)
+                        coeff *= binomial(a + b, a)
                 # Koszul sign: move each dx of m2 past the later dx of m1
                 sign = 1
                 for j in m2.dx:
@@ -194,11 +195,6 @@ class OmegaElement:
                 term = term.multiply(dx_images[i])
             out = out.add(term)
         return out
-
-
-def _binom(n, k):
-    from padicforms.arith import binomial
-    return binomial(n, k)
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,7 @@ def gamma_power(form, k):
             continue
         coeff = Fraction(1)
         if k0:
-            coeff *= Fraction(form.constant) ** k0 / _factorial(k0)
+            coeff *= Fraction(form.constant) ** k0 / factorial(k0)
         exps = [0] * n
         for idx, ki in zip(support, rest):
             if ki:
@@ -293,13 +289,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +399,7 @@ def gamma_tensor_oracle(max_length, letter_degrees):
                 w1 = (v,) * a
                 w2 = (v,) * b
                 prod = shuffle_words(w1, w2, letter_degrees)
-                want = {(v,) * (a + b): _binom(a + b, a)}
+                want = {(v,) * (a + b): binomial(a + b, a)}
                 report["binomial_checks"].append(
                     {"letter": v, "a": a, "b": b, "ok": prod == want})
     # odd letters: [v|v] has no nonzero invariant part

@@ -6,10 +6,19 @@ cohomology groups, and lattice membership over the local ring at p (decided by
 valuations of an explicit SNF solution).  Matrices are small (desk scale), so
 the algorithms favour clarity and small coefficients (minimal-pivot choice)
 over asymptotics.
+
+Factor once, solve many: each elimination engine has one factorization type,
+IntFactorization (integer SNF, solves over Z and Z/m) and PLocalFactorization
+(Smith form over the local ring at p), with ``solve`` and ``kernel`` methods.
+The one-shot functions solve_int, kernel_basis, p_local_solve and
+p_local_kernel wrap a fresh factorization; owners of a fixed matrix keep its
+factorization and reuse it.  Cohomology over Z, Z/p^k and the local ring share
+one quotient routine; only F_p keeps its own echelon path.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from padicforms.arith import int_valuation, valuation
 
@@ -53,8 +62,10 @@ class SparseIntMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+    def from_columns(cls, columns, rows):
+        """The rows x len(columns) matrix whose j-th column is columns[j]."""
+        return cls(rows, len(columns), {(i, j): v for j, col in enumerate(columns)
+                                        for i, v in enumerate(col) if v})
 
     @classmethod
     def zero(cls, rows, cols):
@@ -79,10 +90,6 @@ class SparseIntMatrix:
 
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-    def transpose(self):
-        return SparseIntMatrix(self.cols, self.rows,
-                               {(j, i): v for (i, j), v in self.entries.items()})
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -123,28 +130,13 @@ class SparseIntMatrix:
         return not self.entries
 
 
-# ---------------------------------------------------------------------------
-# dense helpers (internal)
-# ---------------------------------------------------------------------------
-
-def _dense(mat):
-    return mat.to_rows()
+def columns_to_rows(columns, nrows):
+    """Dense rows of the nrows x len(columns) matrix with the given columns."""
+    return [[col[r] for col in columns] for r in range(nrows)]
 
 
-def _matmul(a, b):
-    n, m, k = len(a), len(b[0]) if b else 0, len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += v * bt[j]
-    return out
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def det_bareiss(rows):
@@ -172,6 +164,36 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
+def _inverse(rows, integral):
+    """Exact inverse of an invertible square matrix (Gauss-Jordan over Q).
+
+    With integral=True the matrix is unimodular and the inverse is returned
+    with int entries (checked); otherwise with Fraction entries.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise StructuralError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        inv[k], inv[piv] = inv[piv], inv[k]
+        d = a[k][k]
+        a[k] = [x / d for x in a[k]]
+        inv[k] = [x / d for x in inv[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
+    if not integral:
+        return inv
+    if any(x.denominator != 1 for r in inv for x in r):
+        raise StructuralError("matrix is not unimodular")
+    return [[x.numerator for x in r] for r in inv]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -183,7 +205,7 @@ def smith_normal_form(mat):
     block, which keeps coefficient growth tame at this scale.  The factors
     U*mat*V == D and the divisibility chain are verified before returning.
     """
-    a = _dense(mat)
+    a = mat.to_rows()
     n, m = mat.rows, mat.cols
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -327,11 +349,6 @@ def _check_snf(mat, U, D, V):
             raise StructuralError("SNF check failed: divisibility chain broken")
 
 
-def invariant_factors(mat):
-    _, D, _ = smith_normal_form(mat)
-    return [D[(i, i)] for i in range(min(D.rows, D.cols)) if D[(i, i)]]
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form (row-space canonical form)
 # ---------------------------------------------------------------------------
@@ -398,34 +415,79 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+# ---------------------------------------------------------------------------
+# integer factorization: solves over Z and Z/m, kernels
+# ---------------------------------------------------------------------------
+
+class IntFactorization:
+    """The Smith form U*A*V = D of an integer matrix A, kept for many solves."""
+
+    integral = True
+
+    def __init__(self, mat):
+        self.cols = mat.cols
+        self.U, D, self.V = smith_normal_form(mat)
+        self.diag = [D[(i, i)] for i in range(min(mat.rows, mat.cols))]
+        self.rank = sum(1 for d in self.diag if d)
+
+    @classmethod
+    def from_columns(cls, columns, nrows):
+        return cls(SparseIntMatrix.from_columns(columns, nrows))
+
+    def left_rows(self):
+        return self.U.to_rows()
+
+    def kernel(self):
+        """Saturated integer basis of ker(A), as a list of column vectors."""
+        return [self.V.column(j) for j in range(self.rank, self.cols)]
+
+    def solve(self, target, modulus=0):
+        """One x with A*x = target, or None; free coordinates are zero.
+
+        With a modulus the equation is read mod modulus and x is reduced.
+        """
+        rhs = self.U.mul_vector(list(target))
+        y = [0] * self.cols
+        for i, c in enumerate(rhs):
+            d = self.diag[i] if i < len(self.diag) else 0
+            if modulus:
+                c, d = c % modulus, d % modulus
+                g = gcd(d, modulus)
+                if c % g:
+                    return None
+                if d:
+                    y[i] = (c // g) * pow(d // g, -1, modulus // g) % (modulus // g)
+            elif d:
+                if c % d:
+                    return None
+                y[i] = c // d
+            elif c:
+                return None
+        x = self.V.mul_vector(y)
+        return [v % modulus for v in x] if modulus else x
+
+
 def kernel_basis(mat):
     """Saturated integer basis of ker(mat), as a list of column vectors."""
-    _, D, V = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(D.rows, D.cols)) if D[(i, i)])
-    return [V.column(j) for j in range(rank, mat.cols)]
+    return IntFactorization(mat).kernel()
 
 
 def solve_int(mat, target):
-    """One integer solution x of mat*x = target, or None.
+    """One integer solution x of mat*x = target, or None (free coordinates 0)."""
+    return IntFactorization(mat).solve(target)
 
-    Free coordinates are set to zero, so the solution is deterministic.
+
+def kernel_mod(mat, m):
+    """Integer basis of {x : mat*x = 0 (mod m)}, as columns.
+
+    It is the kernel of [mat | m*I] projected to its first block; the
+    projection is injective, so the result is a basis of a full-rank lattice.
     """
-    U, D, V = smith_normal_form(mat)
-    rhs = U.mul_vector(list(target))
-    y = [0] * mat.cols
-    for i in range(min(mat.rows, mat.cols)):
-        d = D[(i, i)]
-        if d:
-            if rhs[i] % d:
-                return None
-            y[i] = rhs[i] // d
-    for i in range(mat.cols, mat.rows):
-        if rhs[i]:
-            return None
-    for i in range(min(mat.rows, mat.cols), mat.rows):
-        if rhs[i]:
-            return None
-    return V.mul_vector(y)
+    entries = dict(mat.entries)
+    for i in range(mat.rows):
+        entries[(i, mat.cols + i)] = m
+    big = SparseIntMatrix(mat.rows, mat.cols + mat.rows, entries)
+    return [col[:mat.cols] for col in kernel_basis(big)]
 
 
 def complete_basis(columns, dim):
@@ -435,49 +497,15 @@ def complete_basis(columns, dim):
     a direct summand (in that case no completion exists).
     """
     if not columns:
-        return [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
-    mat = SparseIntMatrix.from_rows([list(r) for r in zip(*columns)], len(columns))
-    mat = SparseIntMatrix(dim, len(columns),
-                          {(i, j): columns[j][i] for j in range(len(columns))
-                           for i in range(dim) if columns[j][i]})
-    U, D, V = smith_normal_form(mat)
+        return _identity_rows(dim)
+    U, D, V = smith_normal_form(SparseIntMatrix.from_columns(columns, dim))
     s = len(columns)
     for i in range(s):
         if D[(i, i)] not in (1, -1):
             raise StructuralError("columns do not span a direct summand")
     # mat = U^{-1} [I_s; 0] V^{-1}; complement = U^{-1} e_{s..dim}
-    uinv = _int_inverse(U.to_rows())
+    uinv = _inverse(U.to_rows(), integral=True)
     return [[uinv[i][j] for i in range(dim)] for j in range(s, dim)]
-
-
-def _int_inverse(rows):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise StructuralError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        d = a[k][k]
-        a[k] = [x / d for x in a[k]]
-        inv[k] = [x / d for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    out = []
-    for r in inv:
-        row = []
-        for x in r:
-            if x.denominator != 1:
-                raise StructuralError("matrix is not unimodular")
-            row.append(x.numerator)
-        out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,123 +585,72 @@ def p_local_rank_and_torsion(rows, p):
     return free, tors
 
 
+class PLocalFactorization:
+    """p_local_snf of a p-integral Fraction matrix, kept for many solves.
+
+    ncols must be given when rows is empty (a map into the zero module).
+    """
+
+    integral = False
+
+    def __init__(self, rows, p, ncols=None):
+        if rows and ncols is not None and len(rows[0]) != ncols:
+            raise ValueError("ncols mismatch")
+        self.p = p
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else ncols
+        self.u, self.diag, self.v = p_local_snf(rows, p) \
+            if self.nrows and self.ncols else ([], [], [])
+        self.rank = sum(1 for d in self.diag if d)
+
+    @classmethod
+    def from_columns(cls, columns, nrows, p):
+        return cls(columns_to_rows(columns, nrows), p, len(columns))
+
+    def left_rows(self):
+        return self.u
+
+    def kernel(self):
+        """Basis of the kernel over the local ring at p, as coordinate columns."""
+        n = self.ncols
+        if not self.nrows:
+            return [[Fraction(1) if t == j else Fraction(0) for t in range(n)]
+                    for j in range(n)]
+        return [[self.v[r][j] for r in range(n)] for j in range(self.rank, n)]
+
+    def solve(self, target):
+        """One solution of A*x = target over the local ring at p, or None.
+
+        Free coordinates are zero; the pivot coordinates are unique, so the
+        p-integrality decision is exact.
+        """
+        if not self.nrows or not self.ncols:
+            return [] if not any(Fraction(t) for t in target) else None
+        target = [Fraction(t) for t in target]
+        support = [j for j, t in enumerate(target) if t]
+        y = [Fraction(0)] * self.ncols
+        for i, row in enumerate(self.u):
+            rhs = sum((row[j] * target[j] for j in support), Fraction(0))
+            d = self.diag[i] if i < len(self.diag) else 0
+            if d:
+                q = rhs / d
+                if valuation(q, self.p) < 0:
+                    return None
+                y[i] = q
+            elif rhs:
+                return None
+        pivots = [j for j in range(self.rank) if y[j]]
+        return [sum((vr[j] * y[j] for j in pivots), Fraction(0)) for vr in self.v]
+
+
 def p_local_kernel(rows, p, ncols):
     """Basis of the kernel over the local ring at p, as coordinate columns."""
-    if not rows:
-        return [[Fraction(1) if t == j else Fraction(0) for t in range(ncols)]
-                for j in range(ncols)]
-    if len(rows[0]) != ncols:
-        raise ValueError("ncols mismatch")
-    u, diag, v = p_local_snf(rows, p)
-    rank = sum(1 for d in diag if d)
-    out = []
-    for j in range(rank, ncols):
-        out.append([v[r][j] for r in range(ncols)])
-    return out
+    return PLocalFactorization(rows, p, ncols).kernel()
 
 
 def p_local_solve(rows, target, p):
-    """One solution of rows * x = target over the local ring at p, or None.
-
-    Free coordinates are zero; the pivot coordinates are unique, so the
-    p-integrality decision is exact.
-    """
-    if not rows:
-        return [] if not any(Fraction(t) for t in target) else None
-    ncols = len(rows[0])
-    if ncols == 0:
-        return [] if not any(Fraction(t) for t in target) else None
-    u, diag, v = p_local_snf(rows, p)
-    rhs = [sum(u[i][j] * Fraction(target[j]) for j in range(len(target)))
-           for i in range(len(rows))]
-    y = [Fraction(0)] * ncols
-    for i in range(len(rows)):
-        d = diag[i] if i < len(diag) else Fraction(0)
-        if d:
-            q = rhs[i] / d
-            if valuation(q, p) < 0:
-                return None
-            y[i] = q
-        elif rhs[i]:
-            return None
-    return [sum(v[r][j] * y[j] for j in range(ncols)) for r in range(ncols)]
-
-
-def p_local_cohomology(d_prev, d_cur, p):
-    """ker(d_cur)/im(d_prev) over the local ring at p (Fraction matrices).
-
-    d_cur has one row per target coordinate; an empty list means the zero map
-    out of len(d_prev) coordinates.  Returns an AbelianGroupReport whose class
-    coordinate machinery works over the local ring.
-    """
-    ncols = len(d_cur[0]) if d_cur else (len(d_prev) if d_prev else 0)
-    if d_prev and d_cur and d_prev[0] and len(d_prev) != ncols:
-        raise StructuralError("differentials do not compose")
-    kernel = p_local_kernel(d_cur, p, ncols) if d_cur else \
-        [[Fraction(1) if t == j else Fraction(0) for t in range(ncols)]
-         for j in range(ncols)]
-    s = len(kernel)
-    if s == 0:
-        return AbelianGroupReport(0, [], [], _plocal_prime=p)
-    kmat = [[kernel[j][r] for j in range(s)] for r in range(ncols)]
-    img_cols = []
-    width = len(d_prev[0]) if d_prev and d_prev[0] else 0
-    for j in range(width):
-        col = [d_prev[r][j] for r in range(len(d_prev))]
-        if any(col):
-            sol = p_local_solve(kmat, col, p)
-            if sol is None:
-                raise StructuralError("image does not land in the kernel")
-            img_cols.append(sol)
-    if img_cols:
-        ymat = [[img_cols[j][r] for j in range(len(img_cols))] for r in range(s)]
-        up, diag, _ = p_local_snf(ymat, p)
-        orders = []
-        for d in diag:
-            orders.append(p ** int(valuation(d, p)) if d else 0)
-    else:
-        up = [[Fraction(1 if i == j else 0) for j in range(s)] for i in range(s)]
-        orders = []
-    orders = orders + [0] * (s - len(orders))
-    uinv = _fraction_inverse(up)
-    free_rank = sum(1 for d in orders if d == 0)
-    torsion = sorted(d for d in orders if d > 1)
-    generators = []
-    for i, d in enumerate(orders):
-        if d == 1:
-            continue
-        gen_k = [uinv[r][i] for r in range(s)]
-        gen = [sum(kernel[j][t] * gen_k[j] for j in range(s))
-               for t in range(ncols)]
-        generators.append((0 if d else 1, d, gen))
-    generators.sort(key=lambda t: (t[0], t[1]))
-    gens = [g for _, _, g in generators]
-    rep = AbelianGroupReport(free_rank, torsion, gens, _plocal_prime=p)
-    rep._kernel = kernel
-    rep._uprime = up
-    rep._orders = orders
-    return rep
-
-
-def _fraction_inverse(rows):
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise StructuralError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        d = a[k][k]
-        a[k] = [x / d for x in a[k]]
-        inv[k] = [x / d for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    return inv
+    """One solution of rows * x = target over the local ring at p, or None."""
+    return PLocalFactorization(rows, p).solve(target)
 
 
 # ---------------------------------------------------------------------------
@@ -733,48 +710,36 @@ def lattice_membership(target, generators, p, with_certificate=False):
         return (None, cert) if with_certificate else None
 
     dim = len(target)
-    scale = 1
-    for vec in list(generators) + [target]:
-        for x in vec:
-            scale = scale * Fraction(x).denominator // _gcd_int(scale, Fraction(x).denominator)
+    scale = lcm(*(Fraction(x).denominator
+                  for vec in list(generators) + [target] for x in vec))
     g_int = [[int(Fraction(x) * scale) for x in vec] for vec in generators]
     t_int = [int(Fraction(x) * scale) for x in target]
 
-    mat = SparseIntMatrix(dim, len(generators),
-                          {(i, j): g_int[j][i] for j in range(len(generators))
-                           for i in range(dim) if g_int[j][i]})
-    U, D, V = smith_normal_form(mat)
-    rhs = U.mul_vector(t_int)
-    y = [Fraction(0)] * mat.cols
-    for i in range(mat.rows):
-        d = D[(i, i)] if i < min(mat.rows, mat.cols) else 0
-        c = rhs[i]
+    fac = IntFactorization.from_columns(g_int, dim)
+    rhs = fac.U.mul_vector(t_int)
+    y = [Fraction(0)] * fac.cols
+    for i, c in enumerate(rhs):
+        d = fac.diag[i] if i < len(fac.diag) else 0
         if d == 0:
             if c != 0:
                 if with_certificate:
                     # the functional acts on the raw (unscaled) vectors
-                    func = [Fraction(U[(i, j)]) * scale for j in range(dim)]
+                    func = [Fraction(fac.U[(i, j)]) * scale for j in range(dim)]
                     return None, InfeasibilityCertificate(func, 0, Fraction(c), p)
                 return None
         else:
             q = Fraction(c, d)
             if valuation(q, p) < 0:
                 if with_certificate:
-                    func = [Fraction(U[(i, j)]) * scale for j in range(dim)]
+                    func = [Fraction(fac.U[(i, j)]) * scale for j in range(dim)]
                     return None, InfeasibilityCertificate(func, d, Fraction(c), p)
                 return None
             y[i] = q
-    coeffs = [sum(Fraction(V[(i, j)]) * y[j] for j in range(mat.cols))
-              for i in range(mat.cols)]
+    coeffs = [sum(Fraction(fac.V[(i, j)]) * y[j] for j in range(fac.cols))
+              for i in range(fac.cols)]
     if with_certificate:
         return coeffs, None
     return coeffs
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -787,23 +752,22 @@ class AbelianGroupReport:
 
     free_rank and torsion (p-power orders, ascending) describe the group after
     discarding prime-to-p torsion; the discarded part is kept in
-    prime_to_p_torsion for diagnostics.  generators are integer vectors in the
-    ambient cochain basis: first the torsion generators (matching ``torsion``
-    order), then the free ones.  The private fields carry the quotient
-    presentation used to answer membership questions.
+    prime_to_p_torsion.  generators are vectors in the ambient cochain basis:
+    first the torsion generators (matching ``torsion`` order), then the free
+    ones.  The private fields carry the quotient presentation used to answer
+    membership questions: the factorization of the kernel columns, U' of the
+    relations' Smith form, and its full diagonal (prime-to-p part included).
     """
 
     free_rank: int
     torsion: list
     generators: list
     prime_to_p_torsion: list = field(default_factory=list)
-    _kernel: list = field(default_factory=list, repr=False)      # columns
-    _uprime: list = field(default_factory=list, repr=False)      # rows of U'
-    _orders: list = field(default_factory=list, repr=False)      # full d'_i incl. prime-to-p
-    _modulus: int = 0
+    _kernel: object = field(default=None, repr=False)
+    _uprime: list = field(default_factory=list, repr=False)
+    _orders: list = field(default_factory=list, repr=False)
     _gf_image: list = field(default=None, repr=False)            # echelon basis, GF path
     _gf_prime: int = field(default=0, repr=False)
-    _plocal_prime: int = field(default=0, repr=False)            # local-ring path
 
     def invariants(self):
         return self.free_rank, list(self.torsion)
@@ -846,25 +810,10 @@ class AbelianGroupReport:
             self.class_coordinates([0] * len(v1))
 
     def _kernel_coordinates(self, vector):
-        if not self._kernel:
-            if any(vector):
-                raise StructuralError("vector is not a cocycle")
-            return []
-        if self._plocal_prime:
-            mat = [[self._kernel[j][r] for j in range(len(self._kernel))]
-                   for r in range(len(vector))]
-            sol = p_local_solve(mat, vector, self._plocal_prime)
-            if sol is None:
-                raise StructuralError("vector is not a cocycle")
-            return sol
-        mat = SparseIntMatrix(len(vector), len(self._kernel),
-                              {(i, j): self._kernel[j][i]
-                               for j in range(len(self._kernel))
-                               for i in range(len(vector)) if self._kernel[j][i]})
-        if self._modulus:
-            sol = _solve_mod(mat, vector, self._modulus)
+        if self._kernel is None:
+            sol = None if any(vector) else []
         else:
-            sol = solve_int(mat, vector)
+            sol = self._kernel.solve(vector)
         if sol is None:
             raise StructuralError("vector is not a cocycle")
         return sol
@@ -879,33 +828,45 @@ def _residue_mod(z, d):
     return (z.numerator * inv) % d
 
 
-def _solve_mod(mat, target, modulus):
-    U, D, V = smith_normal_form(mat)
-    rhs = U.mul_vector(list(target))
-    y = [0] * mat.cols
-    for i in range(mat.rows):
-        d = D[(i, i)] if i < min(mat.rows, mat.cols) else 0
-        c = rhs[i] % modulus
-        g = _gcd_int(d % modulus if d else modulus, modulus) or modulus
-        if c % g:
-            return None
-        if i < mat.cols:
-            if d % modulus == 0:
-                y[i] = 0
-            else:
-                dd = d % modulus
-                gg = _gcd_int(dd, modulus)
-                inv = pow(dd // gg, -1, modulus // gg)
-                y[i] = ((c // gg) * inv) % (modulus // gg)
-    return [x % modulus for x in (V.mul_vector(y))]
+def _quotient(kernel, relations, factor):
+    """span(kernel) / span(relations), for ambient columns over one engine.
+
+    kernel is a nonempty list of independent columns, relations a list of
+    columns inside their span; factor(columns, nrows) factors a column list in
+    the engine of the ring.  The relations are rewritten in kernel coordinates
+    (raising if one leaves the kernel) and brought to Smith form
+    U' * Y * V' = D'.  Returns the kernel factorization, U' as rows, the
+    diagonal of D' padded with zeros to one entry per kernel column, and the
+    generator K * (column i of U'^-1) for every diagonal entry other than 1.
+    """
+    s, ambient = len(kernel), len(kernel[0])
+    kfac = factor(kernel, ambient)
+    coords = []
+    for col in relations:
+        sol = kfac.solve(col)
+        if sol is None:
+            raise StructuralError("image does not land in the kernel")
+        coords.append(sol)
+    if coords:
+        rfac = factor(coords, s)
+        uprime, diag = rfac.left_rows(), list(rfac.diag)
+    else:
+        uprime, diag = _identity_rows(s), []
+    orders = diag + [0] * (s - len(diag))
+    uinv = _inverse(uprime, kfac.integral)
+    gens = {i: [sum(kernel[j][t] * uinv[j][i] for j in range(s))
+                for t in range(ambient)]
+            for i, d in enumerate(orders) if d != 1}
+    return kfac, uprime, orders, gens
 
 
 def cohomology(d_prev, d_cur, ring, p):
     """ker(d_cur)/im(d_prev) with p-local reporting.
 
     ring is "Z" (integer complex, prime-to-p torsion stripped into
-    diagnostics), "GF" (coefficients F_p) or ("Zmod", p^k).  Composability and
-    d_cur o d_prev == 0 are checked and raise StructuralError on failure.
+    prime_to_p_torsion), "GF" (coefficients F_p) or ("Zmod", p^k).
+    Composability and d_cur o d_prev == 0 are checked and raise
+    StructuralError on failure.
     """
     if d_prev.cols and d_cur.cols and d_prev.rows != d_cur.cols:
         raise StructuralError("differentials do not compose")
@@ -913,65 +874,69 @@ def cohomology(d_prev, d_cur, ring, p):
         raise StructuralError("d o d != 0 at this degree")
     if ring == "GF":
         return _cohomology_gf(d_prev, d_cur, p)
-    if isinstance(ring, tuple) and ring[0] == "Zmod":
-        return _cohomology_mod(d_prev, d_cur, ring[1], p)
-    if ring != "Z":
-        raise ValueError(f"unknown ring tag {ring!r}")
-
-    kernel = kernel_basis(d_cur)
-    s = len(kernel)
     ambient = d_cur.cols
-    if s == 0:
-        return AbelianGroupReport(0, [], [])
-    kmat = SparseIntMatrix(ambient, s,
-                           {(i, j): kernel[j][i] for j in range(s)
-                            for i in range(ambient) if kernel[j][i]})
-    # image columns in kernel coordinates
-    img_cols = []
-    for j in range(d_prev.cols):
-        col = d_prev.column(j)
-        if any(col):
-            sol = solve_int(kmat, col)
-            if sol is None:
-                raise StructuralError("image does not land in the kernel")
-            img_cols.append(sol)
-    if img_cols:
-        ymat = SparseIntMatrix(s, len(img_cols),
-                               {(i, j): img_cols[j][i] for j in range(len(img_cols))
-                                for i in range(s) if img_cols[j][i]})
-        Up, Dp, _ = smith_normal_form(ymat)
-        orders = [Dp[(i, i)] for i in range(min(s, len(img_cols)))]
+    relations = [col for col in d_prev.columns() if any(col)]
+    if isinstance(ring, tuple) and ring[0] == "Zmod":
+        # the kernel mod m is a full-rank lattice; m * Z^ambient are relations
+        m = ring[1]
+        kernel = hnf_rows(kernel_mod(d_cur, m), ambient)
+        relations += [[m if t == i else 0 for t in range(ambient)]
+                      for i in range(ambient)]
+    elif ring == "Z":
+        kernel = kernel_basis(d_cur)
     else:
-        Up = SparseIntMatrix.identity(s)
-        orders = []
-    orders = orders + [0] * (s - len(orders))
-    uprime = Up.to_rows()
-    uinv = _int_inverse(uprime)
-
-    free_rank = sum(1 for d in orders if d == 0)
-    torsion = []
-    prime_to_p = []
-    generators = []
+        raise ValueError(f"unknown ring tag {ring!r}")
+    if not kernel:
+        return AbelianGroupReport(0, [], [])
+    kfac, uprime, orders, gens = _quotient(kernel, relations,
+                                           IntFactorization.from_columns)
+    torsion, prime_to_p, tors_gens, free_gens = [], [], [], []
     for i, d in enumerate(orders):
-        gen_k = [uinv[r][i] for r in range(s)]
-        gen = [sum(kernel[j][t] * gen_k[j] for j in range(s)) for t in range(ambient)]
         if d == 0:
-            generators.append(("free", gen))
-        elif d > 1:
+            free_gens.append(gens[i])
+        elif d > 1 and ring == "Z":
+            # split off the prime-to-p part; cof * gen has exact order pk
             pk = p ** int_valuation(d, p)
             cof = d // pk
             if cof > 1:
                 prime_to_p.append(cof)
             if pk > 1:
                 torsion.append(pk)
-                # cof * gen has exact order pk in the quotient
-                generators.append(("tors", [cof * x for x in gen]))
-    torsion.sort()
-    gens_sorted = [g for kind, g in generators if kind == "tors"] + \
-                  [g for kind, g in generators if kind == "free"]
-    return AbelianGroupReport(free_rank, torsion, gens_sorted,
+                tors_gens.append([cof * x for x in gens[i]])
+        elif d > 1:
+            torsion.append(d)
+            tors_gens.append([x % m for x in gens[i]])
+    if free_gens and ring != "Z":
+        raise StructuralError("mod-m cohomology must be finite")
+    return AbelianGroupReport(len(free_gens), sorted(torsion), tors_gens + free_gens,
                               prime_to_p_torsion=sorted(prime_to_p),
-                              _kernel=kernel, _uprime=uprime, _orders=orders)
+                              _kernel=kfac, _uprime=uprime, _orders=orders)
+
+
+def p_local_cohomology(d_prev, d_cur, p):
+    """ker(d_cur)/im(d_prev) over the local ring at p (Fraction matrices).
+
+    d_cur has one row per target coordinate; an empty list means the zero map
+    out of len(d_prev) coordinates.  Returns an AbelianGroupReport whose class
+    coordinate machinery works over the local ring; torsion orders are the
+    powers of p on the diagonal of the relations' Smith form.
+    """
+    ncols = len(d_cur[0]) if d_cur else (len(d_prev) if d_prev else 0)
+    if d_prev and d_cur and d_prev[0] and len(d_prev) != ncols:
+        raise StructuralError("differentials do not compose")
+    kernel = p_local_kernel(d_cur, p, ncols)
+    if not kernel:
+        return AbelianGroupReport(0, [], [])
+    relations = [list(col) for col in zip(*d_prev) if any(col)]
+    kfac, uprime, diag, gens = _quotient(
+        kernel, relations,
+        lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p))
+    orders = [p ** int(valuation(d, p)) if d else 0 for d in diag]
+    torsion = [d for d in orders if d > 1]
+    generators = [gens[i] for i, d in enumerate(orders) if d > 1] + \
+        [gens[i] for i, d in enumerate(orders) if d == 0]
+    return AbelianGroupReport(orders.count(0), sorted(torsion), generators,
+                              _kernel=kfac, _uprime=uprime, _orders=orders)
 
 
 def _cohomology_gf(d_prev, d_cur, p):
@@ -993,7 +958,7 @@ def _cohomology_gf(d_prev, d_cur, p):
             basis = bigger
         if len(reps) == quot_dim:
             break
-    rep = AbelianGroupReport(quot_dim, [], reps, _modulus=p)
+    rep = AbelianGroupReport(quot_dim, [], reps)
     rep._gf_image = img_basis
     rep._gf_prime = p
     return rep
@@ -1058,65 +1023,3 @@ def _gf_echelon(vectors, p):
                     f = other[lead]
                     basis[j] = [(x - f * y) % p for x, y in zip(other, b)]
     return [b for b in basis if any(b)]
-
-
-def _cohomology_mod(d_prev, d_cur, modulus, p):
-    """Cohomology of the complex reduced mod p^k, presented by integer SNF."""
-    m = modulus
-    ambient = d_cur.cols
-    # kernel of d_cur mod m: columns x with d_cur x = 0 (mod m)
-    # solve via kernel of [d_cur | m I] projected to the first block
-    rows = {}
-    for (i, j), v in d_cur.entries.items():
-        rows[(i, j)] = v
-    for i in range(d_cur.rows):
-        rows[(i, ambient + i)] = m
-    big = SparseIntMatrix(d_cur.rows, ambient + d_cur.rows, rows)
-    ker = [col[:ambient] for col in kernel_basis(big)]
-    ker = [v for v in hnf_rows(ker, ambient)]
-    s = len(ker)
-    if s == 0:
-        return AbelianGroupReport(0, [], [], _modulus=m)
-    kmat = SparseIntMatrix(ambient, s,
-                           {(i, j): ker[j][i] for j in range(s)
-                            for i in range(ambient) if ker[j][i]})
-    rel_cols = []
-    for j in range(d_prev.cols):
-        col = d_prev.column(j)
-        if any(col):
-            sol = solve_int(kmat, col)
-            if sol is None:
-                raise StructuralError("image does not land in the mod-m kernel")
-            rel_cols.append(sol)
-    # relations: image columns plus m * Z^ambient (all inside the kernel lattice)
-    for i in range(ambient):
-        col = [m if t == i else 0 for t in range(ambient)]
-        sol = solve_int(kmat, col)
-        if sol is None:
-            raise StructuralError("m * e_i escaped the mod-m kernel lattice")
-        rel_cols.append(sol)
-    ymat = SparseIntMatrix(s, len(rel_cols),
-                           {(i, j): rel_cols[j][i] for j in range(len(rel_cols))
-                            for i in range(s) if rel_cols[j][i]})
-    Up, Dp, _ = smith_normal_form(ymat)
-    orders = [Dp[(i, i)] for i in range(min(s, len(rel_cols)))]
-    orders = orders + [0] * (s - len(orders))
-    uprime = Up.to_rows()
-    uinv = _int_inverse(uprime)
-    torsion = []
-    generators = []
-    for i, d in enumerate(orders):
-        if d == 0:
-            raise StructuralError("mod-m cohomology must be finite")
-        if d > 1:
-            gen_k = [uinv[r][i] for r in range(s)]
-            gen = [sum(ker[j][t] * gen_k[j] for j in range(s)) % m
-                   for t in range(ambient)]
-            torsion.append(d)
-            generators.append(gen)
-    order = sorted(torsion)
-    rep = AbelianGroupReport(0, order, generators, _modulus=m)
-    rep._kernel = [list(v) for v in ker]
-    rep._uprime = uprime
-    rep._orders = orders
-    return rep

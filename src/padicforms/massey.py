@@ -17,12 +17,12 @@ import random
 from dataclasses import dataclass
 
 from padicforms.linalg import (
+    IntFactorization,
     SparseIntMatrix,
     StructuralError,
     _gf_kernel,
-    _solve_mod,
     cohomology,
-    kernel_basis,
+    kernel_mod,
     solve_int,
 )
 from padicforms.simplicial import (
@@ -63,6 +63,7 @@ class DgaData:
         self.mul = mul
         self.cup1 = cup1
         self.label = label
+        self._factors = {}
         for q in range(len(self.diffs) - 1):
             if not self.diffs[q + 1].mul(self.diffs[q]).is_zero():
                 raise StructuralError("d o d != 0 in the Massey input")
@@ -79,6 +80,12 @@ class DgaData:
         if 0 <= q < len(self.diffs):
             return self.diffs[q]
         return SparseIntMatrix.zero(self.dim(q + 1), self.dim(q))
+
+    def factor(self, q):
+        """The factorization of diff(q), made once and kept."""
+        if q not in self._factors:
+            self._factors[q] = IntFactorization(self.diff(q))
+        return self._factors[q]
 
     def cohomology(self, q, ring):
         kind, m = ring
@@ -143,15 +150,7 @@ def _lattice_to_ambient(shifted, q, coords):
 
 
 def _ambient_to_lattice(shifted, q, vec):
-    basis = shifted.bases[q] if q < len(shifted.bases) else []
-    if not basis:
-        if any(vec):
-            raise StructuralError("product left the lattice")
-        return []
-    mat = SparseIntMatrix(len(vec), len(basis),
-                          {(i, j): basis[j][i] for j in range(len(basis))
-                           for i in range(len(vec)) if basis[j][i]})
-    sol = solve_int(mat, vec)
+    sol = shifted.coordinates(q, vec)
     if sol is None:
         raise StructuralError("product left the lattice")
     return sol
@@ -185,14 +184,15 @@ def solve_over(dga, q, target, ring, shift=0):
     kind, m = ring
     mat = dga.diff(q)
     target = [x % m for x in target]
-    sol = _solve_mod(mat, target, m)
+    sol = dga.factor(q).solve(target, m)
     if sol is None:
         return None
     if shift:
         if kind == "GF":
             ker = _gf_kernel(mat.to_rows(), m, mat.cols)
         else:
-            ker = _mod_kernel(mat, m)
+            ker = [red for red in ([x % m for x in v] for v in kernel_mod(mat, m))
+                   if any(red)]
         if ker:
             extra = ker[(shift - 1) % len(ker)]
             sol = [(a + b) % m for a, b in zip(sol, extra)]
@@ -202,26 +202,11 @@ def solve_over(dga, q, target, ring, shift=0):
     return sol
 
 
-def _mod_kernel(mat, m):
-    """Generators of {x : mat x = 0 mod m} as vectors mod m."""
-    entries = dict(mat.entries)
-    for i in range(mat.rows):
-        entries[(i, mat.cols + i)] = m
-    big = SparseIntMatrix(mat.rows, mat.cols + mat.rows, entries)
-    ker = [col[:mat.cols] for col in kernel_basis(big)]
-    out = []
-    for v in ker:
-        red = [x % m for x in v]
-        if any(red):
-            out.append(red)
-    return out
-
-
 def is_coboundary_mod(dga, q, vector, ring):
     kind, m = ring
     if q == 0:
         return all(x % m == 0 for x in vector)
-    return _solve_mod(dga.diff(q - 1), [x % m for x in vector], m) is not None
+    return dga.factor(q - 1).solve([x % m for x in vector], m) is not None
 
 
 def in_subgroup_mod(dga, q, vector, generators, ring):
@@ -236,10 +221,8 @@ def in_subgroup_mod(dga, q, vector, generators, ring):
         cols.append([m if t == i else 0 for t in range(dim)])
     if not cols:
         return all(x % m == 0 for x in vector)
-    mat = SparseIntMatrix(dim, len(cols),
-                          {(i, j): cols[j][i] for j in range(len(cols))
-                           for i in range(dim) if cols[j][i]})
-    return solve_int(mat, [x % m for x in vector]) is not None
+    return solve_int(SparseIntMatrix.from_columns(cols, dim),
+                     [x % m for x in vector]) is not None
 
 
 # ---------------------------------------------------------------------------

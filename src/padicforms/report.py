@@ -16,7 +16,6 @@ SCHEMA = {
     "cohomology": {
         "version": str, "kind": str, "manifest": dict,
         "degrees": [dict], "products?": [dict], "stable?": dict,
-        "diagnostics?": dict,
     },
     "massey": {
         "version": str, "kind": str, "manifest": dict,
@@ -63,8 +62,7 @@ def group_payload(report):
     }
 
 
-def cohomology_report(manifest, reports, products=None, stable=None,
-                      diagnostics=None):
+def cohomology_report(manifest, reports, products=None, stable=None):
     degrees = []
     for q in sorted(reports):
         payload = group_payload(reports[q])
@@ -83,8 +81,6 @@ def cohomology_report(manifest, reports, products=None, stable=None,
             for k, v in sorted(products.items())]
     if stable is not None:
         out["stable"] = {str(q): bool(v) for q, v in sorted(stable.items())}
-    if diagnostics is not None:
-        out["diagnostics"] = diagnostics
     return out
 
 

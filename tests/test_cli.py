@@ -67,6 +67,26 @@ def test_nonprime_is_configuration_error(capsys):
     assert code == 2
 
 
+def test_missing_space_file_is_configuration_error(tmp_path, capsys):
+    code = main(["cohomology", "--space", f"@{tmp_path / 'nonexistent'}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: cannot read space file")
+    assert "Traceback" not in captured.err
+
+
+def test_bad_face_table_is_configuration_error(tmp_path, capsys):
+    space_file = tmp_path / "bad.space"
+    space_file.write_text("space bad\n0: v\n1: a\n2: U\na: v v\nU: a a s9.v\n")
+    code = main(["cohomology", "--space", f"@{space_file}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        f"configuration error: bad space file {space_file}: missing face ('v', 0)\n"
+
+
 def test_space_dump_load_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "rp2.space"
     code, _ = run_cli(capsys, "--out", str(out_file), "--format", "text",

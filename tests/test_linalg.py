@@ -1,11 +1,18 @@
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from padicforms.arith import int_valuation, valuation
 from padicforms.linalg import (
-    AbelianGroupReport,
+    IntFactorization,
+    PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
     cohomology,
@@ -14,11 +21,16 @@ from padicforms.linalg import (
     hnf_rows,
     kernel_basis,
     lattice_membership,
+    p_local_kernel,
     p_local_rank_and_torsion,
     p_local_snf,
+    p_local_solve,
     smith_normal_form,
     solve_int,
 )
+from padicforms.massey import DgaData, random_space
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def M(rows):
@@ -242,7 +254,7 @@ def test_cohomology_times_two():
     d_cur = zero_map(0, 1)
     rep = cohomology(d_prev, d_cur, "Z", 2)
     assert rep.free_rank == 0 and rep.torsion == [2]
-    # at p = 3 the torsion is prime to p and is stripped into diagnostics
+    # at p = 3 the torsion is prime to p and is stripped into prime_to_p_torsion
     rep3 = cohomology(d_prev, d_cur, "Z", 3)
     assert rep3.free_rank == 0 and rep3.torsion == []
     assert rep3.prime_to_p_torsion == [2]
@@ -315,3 +327,105 @@ def test_class_coordinates_and_membership():
     assert rep.class_coordinates([1]) != rep.class_coordinates([0])
     assert rep.same_class([1], [3])
     assert rep.is_coboundary([2])
+
+
+# -- oracle properties (hypothesis, sympy) -------------------------------------
+
+ORACLE = settings(derandomize=True, database=None, max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def int_rows(max_rows=4, max_cols=4, bound=6):
+    """Nonempty integer matrices as lists of rows."""
+    return st.integers(1, max_rows).flatmap(lambda n: st.integers(1, max_cols).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-bound, bound), min_size=m, max_size=m),
+                           min_size=n, max_size=n)))
+
+
+def int_vectors(length, bound=6):
+    return st.lists(st.integers(-bound, bound), min_size=length, max_size=length)
+
+
+@ORACLE
+@given(int_rows())
+def test_snf_invariant_factors_match_sympy(rows):
+    _, D, _ = smith_normal_form(M(rows))
+    theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    k = min(len(rows), len(rows[0]))
+    assert [abs(D[(i, i)]) for i in range(k)] == \
+        [abs(int(theirs[i, i])) for i in range(k)]
+
+
+@ORACLE
+@given(int_rows(), st.sampled_from([2, 3, 5]))
+def test_p_local_exponents_are_valuations_of_invariant_factors(rows, p):
+    _, D, _ = smith_normal_form(M(rows))
+    k = min(len(rows), len(rows[0]))
+    want = [int_valuation(D[(i, i)], p) for i in range(k) if D[(i, i)]]
+    _, diag, _ = p_local_snf([[Fraction(x) for x in row] for row in rows], p)
+    assert [valuation(d, p) for d in diag if d] == want
+
+
+@ORACLE
+@given(int_rows(), st.data())
+def test_held_int_factorization_matches_one_shot(rows, data):
+    mat = M(rows)
+    fac = IntFactorization(mat)
+    assert fac.kernel() == kernel_basis(mat)
+    for _ in range(4):
+        in_image = data.draw(st.booleans())
+        target = mat.mul_vector(data.draw(int_vectors(mat.cols))) if in_image \
+            else data.draw(int_vectors(mat.rows))
+        held = fac.solve(target)
+        assert held == solve_int(mat, target)
+        if held is None:
+            assert not in_image
+        else:
+            assert mat.mul_vector(held) == target
+        for modulus in (4, 9):
+            held = fac.solve(target, modulus)
+            assert held == IntFactorization(mat).solve(target, modulus)
+            if held is None:
+                assert not in_image
+            else:
+                assert all(0 <= x < modulus for x in held)
+                assert all((a - b) % modulus == 0
+                           for a, b in zip(mat.mul_vector(held), target))
+
+
+@ORACLE
+@given(int_rows(), st.sampled_from([2, 3]), st.data())
+def test_held_p_local_factorization_matches_one_shot(rows, p, data):
+    # divide by a p-unit so the entries are p-integral but not all integers
+    unit = p + 1
+    frac = [[Fraction(x, unit) for x in row] for row in rows]
+    ncols = len(rows[0])
+    fac = PLocalFactorization(frac, p)
+    assert fac.kernel() == p_local_kernel(frac, p, ncols)
+    for _ in range(4):
+        in_image = data.draw(st.booleans())
+        if in_image:
+            x = data.draw(int_vectors(ncols))
+            target = [sum(r[j] * x[j] for j in range(ncols)) for r in frac]
+        else:
+            target = [Fraction(t) for t in data.draw(int_vectors(len(rows)))]
+        held = fac.solve(target)
+        assert held == p_local_solve(frac, target, p)
+        if held is None:
+            assert not in_image
+        else:
+            assert all(c.denominator % p for c in held)
+            assert [sum(r[j] * held[j] for j in range(ncols)) for r in frac] == target
+
+
+def test_zmod_class_coordinates_unchanged():
+    """Z/m class coordinates on seeded random spaces, as first recorded."""
+    cases = json.loads((GOLDEN / "zmod_class_coordinates.json").read_text())
+    reports = {}
+    for case in cases:
+        key = (case["seed"], case["modulus"], case["degree"])
+        if key not in reports:
+            dga = DgaData.from_space(random_space(case["seed"]))
+            reports[key] = dga.cohomology(case["degree"], ("Zmod", case["modulus"]))
+        assert reports[key].class_coordinates(case["vector"]) == \
+            case["coordinates"], case
