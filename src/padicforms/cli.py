@@ -1,7 +1,9 @@
 """Batch command line: build spaces, run computations, emit reports.
 
 Verbs: cohomology, massey, verify, space.  Exit codes: 0 success, 1 suite
-failure, 2 configuration error, 3 instability (omega-side models only).
+failure, 2 configuration error, 3 instability (omega-side models only),
+4 internal error (a StructuralError: an invariant that the mathematics
+guarantees failed to hold; one line on stderr, no report).
 Identical manifests produce byte-identical output.
 """
 
@@ -44,10 +46,6 @@ from padicforms.report import (
     verify_report,
 )
 from padicforms.simplicial import SimplicialSet, standard_space, basis_cochain
-
-
-class Instability(RuntimeError):
-    pass
 
 
 DEFAULTS = {"prime": 2, "precision": 8, "weight": 4, "max_degree": 3,
@@ -187,14 +185,26 @@ def run_cohomology(args, config):
 
 def run_massey(args, config):
     manifest = manifest_of(args)
+    degrees = tuple(int(x) for x in args.degrees.split(","))
+    if not (2 if args.rectify else 3) <= len(degrees) <= 3:
+        raise ConfigurationError("--degrees needs three degrees "
+                                 "(two or three with --rectify)")
+    indices = None if args.classes == "zero" else \
+        [int(x) for x in args.classes.split(",")]
+    if indices is not None and len(indices) < len(degrees):
+        raise ConfigurationError("--classes needs one index per degree")
     if args.fixture:
-        with open(args.fixture, encoding="utf-8") as fh:
-            dga = fixture_from_json(fh.read())
+        try:
+            with open(args.fixture, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read fixture file {args.fixture}: {exc.strerror}") from exc
+        dga = fixture_from_json(text)
     elif args.space:
         dga = DgaData.from_space(resolve_space(args.space))
     else:
         raise ConfigurationError("massey needs --space or --fixture")
-    degrees = tuple(int(x) for x in args.degrees.split(","))
     p = config.prime
     ring = ("GF", p) if args.coefficients == "gf" else \
         ("Zmod", p ** config.precision)
@@ -207,15 +217,12 @@ def run_massey(args, config):
                 f"degree {q} has only {len(rep.generators)} generators")
         return [x % modulus for x in rep.generators[index]]
 
-    if args.classes == "zero":
+    if indices is None:
         vectors = [[0] * dga.dim(q) for q in degrees]
     else:
-        indices = [int(x) for x in args.classes.split(",")]
         vectors = [class_vector(q, i) for q, i in zip(degrees, indices)]
 
     if args.rectify:
-        if len(degrees) < 2:
-            raise ConfigurationError("--rectify needs two degrees")
         out = rectification_obstruction(dga, vectors[0], vectors[1],
                                         degrees[:2])
         payload = massey_report(manifest, out["massey"],
@@ -421,6 +428,9 @@ def main(argv=None):
     except (ConfigurationError, UndefinedMasseyProduct, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
+    except StructuralError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     errors = validate_report(payload)
     if errors:
         sys.stderr.write("internal error: report failed schema validation:\n")

@@ -28,7 +28,9 @@ from padicforms.divided import (
     variable,
 )
 from padicforms.linalg import (
+    IntFactorization,
     PLocalFactorization,
+    SparseIntMatrix,
     StructuralError,
     columns_to_rows,
     lattice_membership,
@@ -827,7 +829,7 @@ def apl_mod_p(n, prime, weight):
     """
     if n > 2:
         raise ValueError("desk-scale bound n <= 2")
-    from padicforms.linalg import SparseIntMatrix, cohomology
+    from padicforms.linalg import cohomology
     forms = PolynomialForms(n, weight)
     out = {"n": n, "prime": prime, "weight": weight, "dims": {}, "reports": {}}
     for k in range(n + 1):
@@ -865,32 +867,11 @@ def rational_poincare_dims(n, weight):
     for k in range(n + 1):
         d_prev = forms.diff_rows(k - 1) if k else []
         d_cur = forms.diff_rows(k) if k <= n else []
-        rk_prev = _q_rank(d_prev)
-        rk_cur = _q_rank(d_cur)
+        rk_prev = IntFactorization(SparseIntMatrix.from_rows(d_prev)).rank
+        rk_cur = IntFactorization(SparseIntMatrix.from_rows(d_cur)).rank
         dims.append(forms.dims(k) - rk_cur - rk_prev)
     dims[0] -= 1  # reduced: remove the constants
     return dims
-
-
-def _q_rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(a[0])
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pivval = a[rank][c]
-        a[rank] = [x / pivval for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
 
 
 def contraction_K(coeffs):

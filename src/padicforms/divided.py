@@ -295,16 +295,6 @@ def _compositions(total, parts):
 # tensor coalgebra with shuffle product: the divided-power oracle
 # ---------------------------------------------------------------------------
 
-class TensorWord:
-    """[v_1 | ... | v_m] over a graded basis, with an integer coefficient."""
-
-    __slots__ = ("letters", "coeff")
-
-    def __init__(self, letters, coeff=1):
-        self.letters = tuple(letters)
-        self.coeff = coeff
-
-
 def shuffle_words(w1, w2, degrees):
     """Shuffle product of two basis words; returns dict word -> coefficient.
 

@@ -12,8 +12,10 @@ IntFactorization (integer SNF, solves over Z and Z/m) and PLocalFactorization
 (Smith form over the local ring at p), with ``solve`` and ``kernel`` methods.
 The one-shot functions solve_int, kernel_basis, p_local_solve and
 p_local_kernel wrap a fresh factorization; owners of a fixed matrix keep its
-factorization and reuse it.  Cohomology over Z, Z/p^k and the local ring share
-one quotient routine; only F_p keeps its own echelon path.
+factorization and reuse it.  Both Smith forms record the inverse of their left
+transform as they eliminate.  Cohomology over Z, Z/p^k and the local ring
+share one quotient routine; F_p has one reduced-echelon routine
+(``_gf_insert``/``_gf_reduce``) for kernels, images and class coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -164,39 +166,23 @@ def det_bareiss(rows):
     return sign * a[n - 1][n - 1]
 
 
-def _inverse(rows, integral):
-    """Exact inverse of an invertible square matrix (Gauss-Jordan over Q).
-
-    With integral=True the matrix is unimodular and the inverse is returned
-    with int entries (checked); otherwise with Fraction entries.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise StructuralError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        d = a[k][k]
-        a[k] = [x / d for x in a[k]]
-        inv[k] = [x / d for x in inv[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-    if not integral:
-        return inv
-    if any(x.denominator != 1 for r in inv for x in r):
-        raise StructuralError("matrix is not unimodular")
-    return [[x.numerator for x in r] for r in inv]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
+
+class SmithForm(tuple):
+    """The triple (U, D, V) of a Smith form, plus the columns of U^-1.
+
+    ``uinv[i]`` is column i of U^-1, recorded during the elimination: a row
+    operation on U is a column operation on U^-1.  Readers check U*w = e_i
+    before they use a column.
+    """
+
+    def __new__(cls, u, d, v, uinv):
+        self = super().__new__(cls, (u, d, v))
+        self.uinv = uinv
+        return self
+
 
 def smith_normal_form(mat):
     """U, D, V with U*mat*V = D diagonal, d_i | d_{i+1}, U and V unimodular.
@@ -204,19 +190,24 @@ def smith_normal_form(mat):
     Pivot choice: nonzero entry of minimal absolute value in the remaining
     block, which keeps coefficient growth tame at this scale.  The factors
     U*mat*V == D and the divisibility chain are verified before returning.
+    The result is a SmithForm: the inverse of U is recorded as U is built
+    (as dense integer columns in ``uinv``).
     """
     a = mat.to_rows()
     n, m = mat.rows, mat.cols
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = _identity_rows(n)
+    v = _identity_rows(m)
+    w = _identity_rows(n)  # w[i] is column i of U^-1
 
-    def row_op(i, j, q):  # row_i -= q * row_j
+    def row_op(i, j, q):  # row_i -= q * row_j, so col_j of U^-1 += q * col_i
         ai, aj = a[i], a[j]
         ui, uj = u[i], u[j]
+        wi, wj = w[i], w[j]
         for t in range(m):
             ai[t] -= q * aj[t]
         for t in range(n):
             ui[t] -= q * uj[t]
+            wj[t] += q * wi[t]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in a:
@@ -227,6 +218,7 @@ def smith_normal_form(mat):
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -237,6 +229,7 @@ def smith_normal_form(mat):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        w[i] = [-x for x in w[i]]
 
     rank = min(n, m)
     k = 0
@@ -332,7 +325,7 @@ def smith_normal_form(mat):
     D = SparseIntMatrix.from_rows(a, m)
     V = SparseIntMatrix.from_rows(v, m)
     _check_snf(mat, U, D, V)
-    return U, D, V
+    return SmithForm(U, D, V, w)
 
 
 def _check_snf(mat, U, D, V):
@@ -422,11 +415,10 @@ def _xgcd(a, b):
 class IntFactorization:
     """The Smith form U*A*V = D of an integer matrix A, kept for many solves."""
 
-    integral = True
-
     def __init__(self, mat):
         self.cols = mat.cols
-        self.U, D, self.V = smith_normal_form(mat)
+        snf = smith_normal_form(mat)
+        (self.U, D, self.V), self.uinv = snf, snf.uinv
         self.diag = [D[(i, i)] for i in range(min(mat.rows, mat.cols))]
         self.rank = sum(1 for d in self.diag if d)
 
@@ -436,6 +428,13 @@ class IntFactorization:
 
     def left_rows(self):
         return self.U.to_rows()
+
+    def inverse_column(self, i):
+        """Column i of U^-1, checked against U."""
+        w = self.uinv[i]
+        if self.U.mul_vector(w) != [int(t == i) for t in range(len(w))]:
+            raise StructuralError("recorded inverse column does not invert U")
+        return w
 
     def kernel(self):
         """Saturated integer basis of ker(A), as a list of column vectors."""
@@ -498,14 +497,12 @@ def complete_basis(columns, dim):
     """
     if not columns:
         return _identity_rows(dim)
-    U, D, V = smith_normal_form(SparseIntMatrix.from_columns(columns, dim))
+    fac = IntFactorization.from_columns(columns, dim)
     s = len(columns)
-    for i in range(s):
-        if D[(i, i)] not in (1, -1):
-            raise StructuralError("columns do not span a direct summand")
+    if fac.diag.count(1) != s:
+        raise StructuralError("columns do not span a direct summand")
     # mat = U^{-1} [I_s; 0] V^{-1}; complement = U^{-1} e_{s..dim}
-    uinv = _inverse(U.to_rows(), integral=True)
-    return [[uinv[i][j] for i in range(dim)] for j in range(s, dim)]
+    return [fac.inverse_column(j) for j in range(s, dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +515,10 @@ def p_local_snf(rows, p):
     Returns (U, diag, V) as dense Fraction matrices with U*A*V = diag(p^e_i),
     e_1 <= e_2 <= ...; U and V are invertible over the local ring (their
     entries are p-integral and their determinants are p-units).  All entries
-    of A must be p-integral.
+    of A must be p-integral.  The result is a SmithForm: the inverse of U is
+    recorded as U is built, in ``uinv`` as sparse columns {row: entry}.  Past
+    the current pivot those columns are still permuted unit vectors, so each
+    elimination step adds one entry to the pivot's column.
     """
     a = [[Fraction(x) for x in r] for r in rows]
     n = len(a)
@@ -529,6 +529,8 @@ def p_local_snf(rows, p):
         for x in r:
             if x.denominator % p == 0:
                 raise StructuralError("entry is not p-integral")
+    perm = list(range(n))  # column i of U^-1 is e_perm[i] while i >= k
+    uinv = []
 
     k = 0
     while k < min(n, m):
@@ -547,6 +549,7 @@ def p_local_snf(rows, p):
         pi, pj = pivot
         a[k], a[pi] = a[pi], a[k]
         u[k], u[pi] = u[pi], u[k]
+        perm[k], perm[pi] = perm[pi], perm[k]
         for r in a:
             r[k], r[pj] = r[pj], r[k]
         for r in v:
@@ -556,12 +559,15 @@ def p_local_snf(rows, p):
         unit = a[k][k] / Fraction(p) ** e
         a[k] = [x / unit for x in a[k]]
         u[k] = [x / unit for x in u[k]]
+        w_k = {perm[k]: unit}
         piv = a[k][k]
         for i in range(k + 1, n):
             if a[i][k]:
                 f = a[i][k] / piv
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
                 u[i] = [x - f * y for x, y in zip(u[i], u[k])]
+                w_k[perm[i]] = f  # col_k of U^-1 += f * col_i
+        uinv.append(w_k)
         for j in range(k + 1, m):
             if a[k][j]:
                 f = a[k][j] / piv
@@ -570,10 +576,8 @@ def p_local_snf(rows, p):
                 for r in v:
                     r[j] -= f * r[k]
         k += 1
-    diag = []
-    for i in range(min(n, m)):
-        diag.append(a[i][i])
-    return u, diag, v
+    uinv += [{perm[i]: Fraction(1)} for i in range(k, n)]
+    return SmithForm(u, [a[i][i] for i in range(min(n, m))], v, uinv)
 
 
 def p_local_rank_and_torsion(rows, p):
@@ -591,16 +595,15 @@ class PLocalFactorization:
     ncols must be given when rows is empty (a map into the zero module).
     """
 
-    integral = False
-
     def __init__(self, rows, p, ncols=None):
         if rows and ncols is not None and len(rows[0]) != ncols:
             raise ValueError("ncols mismatch")
         self.p = p
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else ncols
-        self.u, self.diag, self.v = p_local_snf(rows, p) \
-            if self.nrows and self.ncols else ([], [], [])
+        snf = p_local_snf(rows, p) if self.nrows and self.ncols \
+            else SmithForm([], [], [], [])
+        (self.u, self.diag, self.v), self.uinv = snf, snf.uinv
         self.rank = sum(1 for d in self.diag if d)
 
     @classmethod
@@ -609,6 +612,14 @@ class PLocalFactorization:
 
     def left_rows(self):
         return self.u
+
+    def inverse_column(self, i):
+        """Column i of U^-1, checked against U."""
+        w = self.uinv[i]
+        if [sum(r[t] * c for t, c in w.items()) for r in self.u] != \
+                [int(t == i) for t in range(self.nrows)]:
+            raise StructuralError("recorded inverse column does not invert U")
+        return [w.get(t, Fraction(0)) for t in range(self.nrows)]
 
     def kernel(self):
         """Basis of the kernel over the local ring at p, as coordinate columns."""
@@ -766,7 +777,7 @@ class AbelianGroupReport:
     _kernel: object = field(default=None, repr=False)
     _uprime: list = field(default_factory=list, repr=False)
     _orders: list = field(default_factory=list, repr=False)
-    _gf_image: list = field(default=None, repr=False)            # echelon basis, GF path
+    _gf_image: dict = field(default=None, repr=False)  # reduced echelon basis, GF path
     _gf_prime: int = field(default=0, repr=False)
 
     def invariants(self):
@@ -783,14 +794,7 @@ class AbelianGroupReport:
     def class_coordinates(self, vector):
         """Coordinates of a cocycle's class: torsion coords mod order, then free."""
         if self._gf_prime:
-            p = self._gf_prime
-            v = [x % p for x in vector]
-            for b in self._gf_image:
-                lead = next(i for i, x in enumerate(b) if x)
-                if v[lead]:
-                    f = v[lead]
-                    v = [(x - f * y) % p for x, y in zip(v, b)]
-            return v
+            return _gf_reduce(self._gf_image, vector, self._gf_prime)
         y = self._kernel_coordinates(vector)
         z = [sum(self._uprime[i][j] * y[j] for j in range(len(y)))
              for i in range(len(y))]
@@ -837,7 +841,8 @@ def _quotient(kernel, relations, factor):
     (raising if one leaves the kernel) and brought to Smith form
     U' * Y * V' = D'.  Returns the kernel factorization, U' as rows, the
     diagonal of D' padded with zeros to one entry per kernel column, and the
-    generator K * (column i of U'^-1) for every diagonal entry other than 1.
+    generator K * (column i of U'^-1) for every diagonal entry other than 1;
+    the columns of U'^-1 are the ones the Smith form recorded.
     """
     s, ambient = len(kernel), len(kernel[0])
     kfac = factor(kernel, ambient)
@@ -847,17 +852,18 @@ def _quotient(kernel, relations, factor):
         if sol is None:
             raise StructuralError("image does not land in the kernel")
         coords.append(sol)
-    if coords:
-        rfac = factor(coords, s)
-        uprime, diag = rfac.left_rows(), list(rfac.diag)
-    else:
-        uprime, diag = _identity_rows(s), []
-    orders = diag + [0] * (s - len(diag))
-    uinv = _inverse(uprime, kfac.integral)
-    gens = {i: [sum(kernel[j][t] * uinv[j][i] for j in range(s))
-                for t in range(ambient)]
-            for i, d in enumerate(orders) if d != 1}
-    return kfac, uprime, orders, gens
+    if not coords:
+        gens = {i: list(kernel[i]) for i in range(s)}
+        return kfac, _identity_rows(s), [0] * s, gens
+    rfac = factor(coords, s)
+    orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
+    gens = {}
+    for i, d in enumerate(orders):
+        if d != 1:
+            w = rfac.inverse_column(i)
+            gens[i] = [sum(kernel[j][t] * w[j] for j in range(s))
+                       for t in range(ambient)]
+    return kfac, rfac.left_rows(), orders, gens
 
 
 def cohomology(d_prev, d_cur, ring, p):
@@ -940,86 +946,72 @@ def p_local_cohomology(d_prev, d_cur, p):
 
 
 def _cohomology_gf(d_prev, d_cur, p):
-    """Cohomology with F_p coefficients: a vector space, reported as free rank."""
+    """Cohomology with F_p coefficients: a vector space, reported as free rank.
+
+    The generators are the kernel vectors that enlarge the span of the image
+    and the generators before them; d o d = 0 puts the image in the kernel.
+    """
     ker = _gf_kernel(d_cur.to_rows(), p, d_cur.cols)
-    img = []
-    for j in range(d_prev.cols):
-        col = [x % p for x in d_prev.column(j)]
-        if any(col):
-            img.append(col)
-    img_basis = _gf_echelon(img, p)
-    quot_dim = len(_gf_echelon(img_basis + ker, p)) - len(img_basis)
+    image = {}
+    for col in d_prev.columns():
+        _gf_insert(image, col, p)
+    basis = dict(image)
     reps = []
-    basis = list(img_basis)
     for v in ker:
-        bigger = _gf_echelon(basis + [v], p)
-        if len(bigger) > len(basis):
-            reps.append(v)
-            basis = bigger
-        if len(reps) == quot_dim:
+        if len(basis) == len(ker):
             break
-    rep = AbelianGroupReport(quot_dim, [], reps)
-    rep._gf_image = img_basis
+        if _gf_insert(basis, v, p):
+            reps.append(v)
+    rep = AbelianGroupReport(len(reps), [], reps)
+    rep._gf_image = image
     rep._gf_prime = p
     return rep
 
 
+def _gf_reduce(basis, vec, p):
+    """vec reduced over F_p by a reduced echelon basis {lead column: row}.
+
+    Every row is 1 at its lead and 0 at the other leads, so the remainder is
+    0 at every lead and does not depend on the order of the rows.
+    """
+    v = [x % p for x in vec]
+    for lead, row in basis.items():
+        f = v[lead]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def _gf_insert(basis, vec, p):
+    """Add vec to a reduced echelon basis over F_p; False if already spanned."""
+    v = _gf_reduce(basis, vec, p)
+    lead = next((i for i, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    inv = pow(v[lead], -1, p)
+    v = [(x * inv) % p for x in v]
+    for other, row in list(basis.items()):
+        f = row[lead]
+        if f:
+            basis[other] = [(x - f * y) % p for x, y in zip(row, v)]
+    basis[lead] = v
+    return True
+
+
 def _gf_kernel(rows, p, ncols):
-    """Basis of the kernel of a matrix over F_p (column vectors)."""
-    if not rows:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    n, m = len(rows), len(rows[0])
-    a = [[x % p for x in r] for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [0] * m
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-a[pr][c]) % p
-        basis.append(vec)
-    return basis
+    """Basis of the kernel of a matrix over F_p (column vectors).
 
-
-def _gf_echelon(vectors, p):
-    """Reduced echelon basis of the span of the given vectors over F_p."""
-    basis = []
-    for v in vectors:
-        v = [x % p for x in v]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                f = v[lead]
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            inv = pow(v[lead], -1, p)
-            v = [(x * inv) % p for x in v]
-            basis.append(v)
-            basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    # back-substitute
-    for i, b in enumerate(basis):
-        for j, other in enumerate(basis):
-            if i != j:
-                lead = next(t for t, x in enumerate(b) if x)
-                if other[lead]:
-                    f = other[lead]
-                    basis[j] = [(x - f * y) % p for x, y in zip(other, b)]
-    return [b for b in basis if any(b)]
+    One vector per non-pivot column of the reduced echelon form of the rows.
+    """
+    basis = {}
+    for row in rows:
+        _gf_insert(basis, row, p)
+    kernel = []
+    for c in range(ncols):
+        if c not in basis:
+            vec = [0] * ncols
+            vec[c] = 1
+            for lead, row in basis.items():
+                vec[lead] = (-row[c]) % p
+            kernel.append(vec)
+    return kernel

@@ -41,15 +41,6 @@ class UndefinedMasseyProduct(ValueError):
         self.obstruction = obstruction
 
 
-def ring_modulus(ring):
-    kind, m = ring
-    if kind == "GF":
-        return m
-    if kind == "Zmod":
-        return m
-    raise ValueError(f"Massey products need GF or Zmod coefficients, not {ring}")
-
-
 class DgaData:
     """Degreewise differentials and products of a finite dg-algebra over Z.
 

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from padicforms import cli
 from padicforms.cli import main
+from padicforms.linalg import StructuralError
 from padicforms.massey import fixture_to_json, obstruction_fixture
 from padicforms.report import validate_report
 
@@ -85,6 +87,47 @@ def test_bad_face_table_is_configuration_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == \
         f"configuration error: bad space file {space_file}: missing face ('v', 0)\n"
+
+
+def test_massey_two_degrees_without_rectify_is_configuration_error(capsys):
+    code = main(["massey", "--space", "rp2", "--degrees", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "configuration error: --degrees needs three degrees " \
+        "(two or three with --rectify)\n"
+
+
+def test_massey_too_few_class_indices_is_configuration_error(capsys):
+    code = main(["massey", "--space", "rp2", "--degrees", "1,1,1",
+                 "--classes", "0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == \
+        "configuration error: --classes needs one index per degree\n"
+
+
+def test_missing_fixture_file_is_configuration_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    code = main(["massey", "--fixture", str(missing), "--degrees", "1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: cannot read fixture file " \
+        f"{missing}: No such file or directory\n"
+
+
+def test_structural_error_is_internal_error(monkeypatch, capsys):
+    def broken(*args):
+        raise StructuralError("d o d != 0 at this degree")
+
+    monkeypatch.setattr(cli, "cohomology_ring", broken)
+    code = main(["cohomology", "--space", "rp2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: d o d != 0 at this degree\n"
 
 
 def test_space_dump_load_roundtrip(tmp_path, capsys):

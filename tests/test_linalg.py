@@ -9,18 +9,21 @@ import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from padicforms import linalg
 from padicforms.arith import int_valuation, valuation
 from padicforms.linalg import (
     IntFactorization,
     PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
+    _gf_kernel,
     cohomology,
     complete_basis,
     det_bareiss,
     hnf_rows,
     kernel_basis,
     lattice_membership,
+    p_local_cohomology,
     p_local_kernel,
     p_local_rank_and_torsion,
     p_local_snf,
@@ -416,6 +419,67 @@ def test_held_p_local_factorization_matches_one_shot(rows, p, data):
         else:
             assert all(c.denominator % p for c in held)
             assert [sum(r[j] * held[j] for j in range(ncols)) for r in frac] == target
+
+
+@ORACLE
+@given(int_rows())
+def test_int_inverse_columns_invert_u(rows):
+    fac = IntFactorization(M(rows))
+    n = len(rows)
+    assert len(fac.uinv) == n
+    for i, w in enumerate(fac.uinv):
+        assert fac.U.mul_vector(w) == [int(t == i) for t in range(n)]
+
+
+@ORACLE
+@given(int_rows(), st.sampled_from([2, 3]))
+def test_p_local_inverse_columns_invert_u(rows, p):
+    frac = [[Fraction(x, p + 1) for x in row] for row in rows]
+    fac = PLocalFactorization(frac, p)
+    n = len(rows)
+    assert len(fac.uinv) == n
+    for i, w in enumerate(fac.uinv):
+        assert all(c.denominator % p for c in w.values())
+        assert [sum(r[t] * c for t, c in w.items()) for r in fac.u] == \
+            [int(t == i) for t in range(n)]
+
+
+@ORACLE
+@given(int_rows(), st.sampled_from([2, 3, 5]))
+def test_gf_kernel_size_is_corank_of_p_local_snf(rows, p):
+    ncols = len(rows[0])
+    ker = _gf_kernel(rows, p, ncols)
+    for v in ker:
+        assert all(x % p == 0 for x in M(rows).mul_vector(v))
+    _, diag, _ = p_local_snf([[Fraction(x) for x in row] for row in rows], p)
+    assert len(ker) == ncols - sum(1 for d in diag if d and valuation(d, p) == 0)
+
+
+def _corrupt_last_inverse_column(snf):
+    if snf.uinv:
+        col = snf.uinv[-1]
+        if isinstance(col, dict):
+            col[0] = col.get(0, 0) + 1
+        else:
+            col[0] += 1
+    return snf
+
+
+@pytest.mark.parametrize("ring", ["Z", ("Zmod", 4)])
+def test_corrupt_inverse_column_raises(monkeypatch, ring):
+    real = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda mat: _corrupt_last_inverse_column(real(mat)))
+    with pytest.raises(StructuralError, match="inverse column"):
+        cohomology(M([[2]]), zero_map(0, 1), ring, 2)
+
+
+def test_corrupt_p_local_inverse_column_raises(monkeypatch):
+    real = linalg.p_local_snf
+    monkeypatch.setattr(linalg, "p_local_snf",
+                        lambda rows, p: _corrupt_last_inverse_column(real(rows, p)))
+    with pytest.raises(StructuralError, match="inverse column"):
+        p_local_cohomology([[Fraction(2)]], [], 2)
 
 
 def test_zmod_class_coordinates_unchanged():
