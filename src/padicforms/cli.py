@@ -3,7 +3,9 @@
 Verbs: cohomology, massey, verify, space.  Exit codes: 0 success, 1 suite
 failure, 2 configuration error, 3 instability (omega-side models only),
 4 internal error (a StructuralError: an invariant that the mathematics
-guarantees failed to hold; one line on stderr, no report).
+guarantees failed to hold, or a report that fails schema validation; the
+reason on stderr, no report).  An unwritable --out file is a configuration
+error.
 Identical manifests produce byte-identical output.
 """
 
@@ -436,11 +438,16 @@ def main(argv=None):
         sys.stderr.write("internal error: report failed schema validation:\n")
         for err in errors:
             sys.stderr.write(f"  {err}\n")
-        return 2
+        return 4
     text = dump_json(payload) if args.format == "json" else format_text(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"configuration error: cannot write {args.out}: "
+                             f"{exc.strerror}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -13,8 +13,10 @@ IntFactorization (integer SNF, solves over Z and Z/m) and PLocalFactorization
 The one-shot functions solve_int, kernel_basis, p_local_solve and
 p_local_kernel wrap a fresh factorization; owners of a fixed matrix keep its
 factorization and reuse it.  Both Smith forms record the inverse of their left
-transform as they eliminate.  Cohomology over Z, Z/p^k and the local ring
-share one quotient routine; F_p has one reduced-echelon routine
+transform as they eliminate.  The local one is fraction-free: it eliminates
+integer rows with p-unit scales, keeps that integer form for its solves, and
+makes Fractions only for its results.  Cohomology over Z, Z/p^k and the local
+ring share one quotient routine; F_p has one reduced-echelon routine
 (``_gf_insert``/``_gf_reduce``) for kernels, images and class coordinates.
 """
 
@@ -175,8 +177,11 @@ class SmithForm(tuple):
 
     ``uinv[i]`` is column i of U^-1, recorded during the elimination: a row
     operation on U is a column operation on U^-1.  Readers check U*w = e_i
-    before they use a column.
+    before they use a column.  ``local`` is the integer form that
+    PLocalFactorization.solve works on (set by p_local_snf).
     """
+
+    local = None
 
     def __new__(cls, u, d, v, uinv):
         self = super().__new__(cls, (u, d, v))
@@ -506,7 +511,7 @@ def complete_basis(columns, dim):
 
 
 # ---------------------------------------------------------------------------
-# p-local (DVR) elimination on Fraction matrices
+# fraction-free p-local (DVR) elimination
 # ---------------------------------------------------------------------------
 
 def p_local_snf(rows, p):
@@ -515,69 +520,113 @@ def p_local_snf(rows, p):
     Returns (U, diag, V) as dense Fraction matrices with U*A*V = diag(p^e_i),
     e_1 <= e_2 <= ...; U and V are invertible over the local ring (their
     entries are p-integral and their determinants are p-units).  All entries
-    of A must be p-integral.  The result is a SmithForm: the inverse of U is
-    recorded as U is built, in ``uinv`` as sparse columns {row: entry}.  Past
-    the current pivot those columns are still permuted unit vectors, so each
-    elimination step adds one entry to the pivot's column.
+    of A must be p-integral.
+
+    The elimination is fraction-free, in the style of Bareiss (1968).  Row i
+    of [A | U] is s_i * R_i: an integer row R_i, cleared of the row's p-unit
+    denominators on entry, times a p-unit scale s_i kept as an integer pair.
+    The pivot is the first entry of least valuation in row-major order.  A
+    pivot p^e * c (c a p-unit) clears column k from row i by
+    R_i <- c*R_i - (R_ik / p^e)*R_k on the support of R_k; the changed row is
+    then divided by its p-unit content.  The column step only touches V, kept
+    as integer columns over p-unit denominators.  The Fractions are made once,
+    at the end.  The result is a SmithForm: the inverse of U is recorded as U
+    is built, in ``uinv`` as sparse columns {row: entry}; past the current
+    pivot those columns are still permuted unit vectors, so each elimination
+    step adds one entry to the pivot's column.  ``local`` holds the integer
+    rows of U, p^e_i per pivot, and V's pivot columns times the scales of U's
+    rows over one common denominator.
     """
-    a = [[Fraction(x) for x in r] for r in rows]
-    n = len(a)
-    m = len(a[0]) if a else 0
-    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    v = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for r in a:
-        for x in r:
-            if x.denominator % p == 0:
-                raise StructuralError("entry is not p-integral")
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    a, num, den = [], [1] * n, []  # row i of [A | U] is num[i]/den[i] * a[i]
+    for i, r in enumerate(rows):
+        if any(x.denominator % p == 0 for x in r):
+            raise StructuralError("entry is not p-integral")
+        scale = lcm(*(x.denominator for x in r))
+        a.append([x.numerator * (scale // x.denominator) for x in r] + [0] * n)
+        a[i][m + i] = scale
+        den.append(scale)
+    vcol = [[int(r == j) for r in range(m)] for j in range(m)]
+    vden = [1] * m  # column j of V is vcol[j] / vden[j]
     perm = list(range(n))  # column i of U^-1 is e_perm[i] while i >= k
-    uinv = []
+    uinv, pes = [], []  # uinv entries as (numerator, denominator) until the end
 
     k = 0
     while k < min(n, m):
-        pivot = None
         best = None
         for i in range(k, n):
             for j in range(k, m):
                 x = a[i][j]
                 if x:
-                    val = valuation(x, p)
+                    val = int_valuation(x, p)
                     if best is None or val < best:
-                        best = val
-                        pivot = (i, j)
-        if pivot is None:
+                        best, pi, pj = val, i, j
+                        if not val:
+                            break
+            if best == 0:
+                break
+        if best is None:
             break
-        pi, pj = pivot
-        a[k], a[pi] = a[pi], a[k]
-        u[k], u[pi] = u[pi], u[k]
-        perm[k], perm[pi] = perm[pi], perm[k]
-        for r in a:
-            r[k], r[pj] = r[pj], r[k]
-        for r in v:
-            r[k], r[pj] = r[pj], r[k]
-        # scale the pivot to exactly p^e (multiply row by a p-unit)
-        e = valuation(a[k][k], p)
-        unit = a[k][k] / Fraction(p) ** e
-        a[k] = [x / unit for x in a[k]]
-        u[k] = [x / unit for x in u[k]]
-        w_k = {perm[k]: unit}
-        piv = a[k][k]
+        for lst in (a, num, den, perm):
+            lst[k], lst[pi] = lst[pi], lst[k]
+        if pj != k:
+            for r in a[k:]:
+                r[k], r[pj] = r[pj], r[k]
+            vcol[k], vcol[pj] = vcol[pj], vcol[k]
+            vden[k], vden[pj] = vden[pj], vden[k]
+        rk, pe = a[k], p ** best
+        c = rk[k] // pe  # the pivot's unit part
+        w_k = {perm[k]: (num[k] * c, den[k])}
+        support = [j for j in range(k, m + n) if rk[j]]
         for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / piv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                u[i] = [x - f * y for x, y in zip(u[i], u[k])]
-                w_k[perm[i]] = f  # col_k of U^-1 += f * col_i
+            ri = a[i]
+            if ri[k]:
+                t = ri[k] // pe
+                w_k[perm[i]] = (num[i] * t, den[i])  # col_k of U^-1 += s_i*t * col_i
+                if c != 1:
+                    ri = [c * x for x in ri]
+                for j in support:
+                    ri[j] -= t * rk[j]
+                g = gcd(*ri)
+                while g % p == 0:
+                    g //= p
+                a[i] = [x // g for x in ri] if g > 1 else ri
+                h = gcd(num[i] * g, den[i] * c)
+                num[i], den[i] = num[i] * g // h, den[i] * c // h
         uinv.append(w_k)
+        vk, dk = vcol[k], vden[k]
+        vsupport = [r for r in range(m) if vk[r]]
         for j in range(k + 1, m):
-            if a[k][j]:
-                f = a[k][j] / piv
-                for r in a:
-                    r[j] -= f * r[k]
-                for r in v:
-                    r[j] -= f * r[k]
+            if rk[j]:  # column_j of V -= (rk[j] / (c * p^e)) * column_k
+                t, rk[j] = rk[j] // pe * vden[j], 0
+                vj = vcol[j] if c * dk == 1 else [c * dk * x for x in vcol[j]]
+                for r in vsupport:
+                    vj[r] -= t * vk[r]
+                g = gcd(vden[j] * c * dk, *vj)
+                vcol[j] = [x // g for x in vj] if g > 1 else vj
+                vden[j] = vden[j] * c * dk // g
+        num[k], den[k] = 1, c
+        pes.append(pe)
         k += 1
-    uinv += [{perm[i]: Fraction(1)} for i in range(k, n)]
-    return SmithForm(u, [a[i][i] for i in range(min(n, m))], v, uinv)
+
+    zero = Fraction(0)
+    u = [[Fraction(num[i] * x, den[i]) if x else zero for x in a[i][m:]]
+         for i in range(n)]
+    v = [[Fraction(col[r], d) if col[r] else zero for col, d in zip(vcol, vden)]
+         for r in range(m)]
+    diag = [Fraction(pe) for pe in pes] + [zero] * (min(n, m) - k)
+    uinv = [{t: Fraction(*q) for t, q in w.items()} for w in uinv] + \
+        [{perm[i]: Fraction(1)} for i in range(k, n)]
+    snf = SmithForm(u, diag, v, uinv)
+    # x = V * y over one common denominator: pivot column i of V, times the
+    # scale of row i of U, is weights[i] / common
+    common = lcm(*(den[i] * vden[i] for i in range(k)))
+    weights = [num[i] * common // (den[i] * vden[i]) for i in range(k)]
+    snf.local = ([r[m:] for r in a], pes,
+                 [[(r, w * x) for r, x in enumerate(vcol[i]) if x]
+                  for i, w in enumerate(weights)], common)
+    return snf
 
 
 def p_local_rank_and_torsion(rows, p):
@@ -592,7 +641,10 @@ def p_local_rank_and_torsion(rows, p):
 class PLocalFactorization:
     """p_local_snf of a p-integral Fraction matrix, kept for many solves.
 
-    ncols must be given when rows is empty (a map into the zero module).
+    ``solve`` works on the integer form of the Smith form (``local``): the
+    integer rows of U, whose p-unit scales are folded into V's pivot columns,
+    and V's pivot columns over one common p-unit denominator.  ncols must be
+    given when rows is empty (a map into the zero module).
     """
 
     def __init__(self, rows, p, ncols=None):
@@ -603,7 +655,7 @@ class PLocalFactorization:
         self.ncols = len(rows[0]) if rows else ncols
         snf = p_local_snf(rows, p) if self.nrows and self.ncols \
             else SmithForm([], [], [], [])
-        (self.u, self.diag, self.v), self.uinv = snf, snf.uinv
+        (self.u, self.diag, self.v), self.uinv, self.local = snf, snf.uinv, snf.local
         self.rank = sum(1 for d in self.diag if d)
 
     @classmethod
@@ -633,25 +685,31 @@ class PLocalFactorization:
         """One solution of A*x = target over the local ring at p, or None.
 
         Free coordinates are zero; the pivot coordinates are unique, so the
-        p-integrality decision is exact.
+        p-integrality decision is exact.  The target is put over one
+        denominator; pivot i is p-integral iff p^e_i times that denominator's
+        p-part divides the integer dot product with row i of U.
         """
         if not self.nrows or not self.ncols:
-            return [] if not any(Fraction(t) for t in target) else None
-        target = [Fraction(t) for t in target]
-        support = [j for j, t in enumerate(target) if t]
-        y = [Fraction(0)] * self.ncols
-        for i, row in enumerate(self.u):
-            rhs = sum((row[j] * target[j] for j in support), Fraction(0))
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d:
-                q = rhs / d
-                if valuation(q, self.p) < 0:
+            return [] if not any(target) else None
+        urows, pes, vcols, common = self.local
+        tden = lcm(*(t.denominator for t in target))
+        support = [(j, t.numerator * (tden // t.denominator))
+                   for j, t in enumerate(target) if t]
+        tp = self.p ** int_valuation(tden, self.p)
+        x = [0] * self.ncols
+        for i, row in enumerate(urows):
+            rhs = sum(row[j] * t for j, t in support)
+            if i >= self.rank:
+                if rhs:
                     return None
-                y[i] = q
             elif rhs:
-                return None
-        pivots = [j for j in range(self.rank) if y[j]]
-        return [sum((vr[j] * y[j] for j in pivots), Fraction(0)) for vr in self.v]
+                if rhs % (pes[i] * tp):
+                    return None
+                rhs //= pes[i]
+                for r, c in vcols[i]:
+                    x[r] += rhs * c
+        den, zero = tden * common, Fraction(0)
+        return [Fraction(c, den) if c else zero for c in x]
 
 
 def p_local_kernel(rows, p, ncols):

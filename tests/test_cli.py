@@ -130,6 +130,27 @@ def test_structural_error_is_internal_error(monkeypatch, capsys):
     assert captured.err == "internal error: d o d != 0 at this degree\n"
 
 
+def test_schema_failure_is_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "validate_report", lambda payload: ["degrees: missing"])
+    code = main(["cohomology", "--space", "rp2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("internal error: report failed schema validation:\n"
+                            "  degrees: missing\n")
+
+
+def test_unwritable_out_file_is_configuration_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["cohomology", "--space", "rp2", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot write {target}:")
+    assert len(captured.err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_space_dump_load_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "rp2.space"
     code, _ = run_cli(capsys, "--out", str(out_file), "--format", "text",

@@ -455,6 +455,120 @@ def test_gf_kernel_size_is_corank_of_p_local_snf(rows, p):
     assert len(ker) == ncols - sum(1 for d in diag if d and valuation(d, p) == 0)
 
 
+def p_units(p):
+    return st.sampled_from([b for b in range(1, 15) if b % p])
+
+
+def p_integral_rows(p, max_size=8):
+    """Mostly-zero p-integral Fraction matrices up to max_size x max_size.
+
+    A nonzero entry is p^k * a / b with its own p-unit denominator b, so
+    valuations vary and the rows need their denominators cleared.
+    """
+    entry = st.builds(lambda z, k, a, b: Fraction(0) if z else Fraction(p ** k * a, b),
+                      st.integers(0, 2), st.integers(0, 3), st.integers(-4, 4), p_units(p))
+    return st.integers(1, max_size).flatmap(lambda n: st.integers(1, max_size).flatmap(
+        lambda m: st.lists(st.lists(entry, min_size=m, max_size=m),
+                           min_size=n, max_size=n)))
+
+
+def _fraction_p_local_snf(rows, p):
+    """Reference: the elimination over Fraction that p_local_snf replaced."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, m = len(a), len(a[0]) if a else 0
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    v = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    perm, uinv = list(range(n)), []
+    k = 0
+    while k < min(n, m):
+        pivot, best = None, None
+        for i in range(k, n):
+            for j in range(k, m):
+                if a[i][j] and (best is None or valuation(a[i][j], p) < best):
+                    best, pivot = valuation(a[i][j], p), (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[k], a[pi], u[k], u[pi] = a[pi], a[k], u[pi], u[k]
+        perm[k], perm[pi] = perm[pi], perm[k]
+        for r in a + v:
+            r[k], r[pj] = r[pj], r[k]
+        unit = a[k][k] / Fraction(p) ** best
+        a[k] = [x / unit for x in a[k]]
+        u[k] = [x / unit for x in u[k]]
+        w_k, piv = {perm[k]: unit}, a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / piv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                u[i] = [x - f * y for x, y in zip(u[i], u[k])]
+                w_k[perm[i]] = f
+        uinv.append(w_k)
+        for j in range(k + 1, m):
+            if a[k][j]:
+                f = a[k][j] / piv
+                for r in a + v:
+                    r[j] -= f * r[k]
+        k += 1
+    uinv += [{perm[i]: Fraction(1)} for i in range(k, n)]
+    return u, [a[i][i] for i in range(min(n, m))], v, uinv
+
+
+def _fraction_solve(snf, target, p):
+    """Reference: the Fraction solve against (U, diag, V) of a Smith form."""
+    u, diag, v, _ = snf
+    y = [Fraction(0)] * len(v)
+    for i, row in enumerate(u):
+        rhs = sum((c * t for c, t in zip(row, target)), Fraction(0))
+        d = diag[i] if i < len(diag) else 0
+        if (d and valuation(rhs / d, p) < 0) or (not d and rhs):
+            return None
+        if d:
+            y[i] = rhs / d
+    return [sum((c * t for c, t in zip(vr, y)), Fraction(0)) for vr in v]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@ORACLE
+@given(data=st.data())
+def test_p_local_snf_matches_fraction_elimination(p, data):
+    rows = data.draw(p_integral_rows(p))
+    u, diag, v, uinv = _fraction_p_local_snf(rows, p)
+    snf = p_local_snf(rows, p)
+    assert snf[0] == u and snf[1] == diag and snf[2] == v
+    assert snf.uinv == uinv
+    n, m = len(rows), len(rows[0])
+    ua = [[sum(u[i][s] * rows[s][t] for s in range(n)) for t in range(m)]
+          for i in range(n)]
+    uav = [[sum(ua[i][t] * v[t][j] for t in range(m)) for j in range(m)]
+           for i in range(n)]
+    assert uav == [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
+    for i, w in enumerate(uinv):
+        assert [sum(r[t] * c for t, c in w.items()) for r in u] == \
+            [int(t == i) for t in range(n)]
+    fac = PLocalFactorization(rows, p)
+    x = data.draw(int_vectors(m))
+    image = [sum(r[j] * x[j] for j in range(m)) for r in rows]
+    other = data.draw(st.lists(st.builds(Fraction, st.integers(-6, 6),
+                                         st.sampled_from([p, p * p]) | p_units(p)),
+                               min_size=n, max_size=n))
+    for target in (image, [t / p for t in image], other):
+        assert fac.solve(target) == _fraction_solve((u, diag, v, uinv), target, p)
+    assert fac.solve(image) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@ORACLE
+@given(data=st.data())
+def test_p_local_snf_rejects_p_in_a_denominator(p, data):
+    rows = data.draw(p_integral_rows(p))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] = Fraction(data.draw(p_units(p)), p * data.draw(st.integers(1, 4)))
+    with pytest.raises(StructuralError, match="not p-integral"):
+        p_local_snf(rows, p)
+
+
 def _corrupt_last_inverse_column(snf):
     if snf.uinv:
         col = snf.uinv[-1]
