@@ -16,13 +16,13 @@ from padicforms.arith import ConfigurationError, SessionConfig
 from padicforms.decalage import VLevels, build_D, tensor_cochain_algebra
 from padicforms.derham import (
     OmegaLevels,
-    SectionComplex,
     apl_mod_p,
     build_omega,
     extendability_witness,
     homotopy_groups_check,
     omega_cohomology,
     rational_poincare_dims,
+    stable_cohomology,
 )
 from padicforms.divided import gamma_tensor_oracle
 from padicforms.linalg import StructuralError, p_local_cohomology
@@ -165,19 +165,11 @@ def run_cohomology(args, config):
                    for q in range(q_max + 1)}
         return cohomology_report(manifest, reports), 0
     if args.model == "v_tensor_omega":
-        reports = {}
-        stable = {}
-        per_weight = {}
-        for w in (config.weight, max(1, config.weight - 1)):
-            omega = OmegaLevels(w, config.prime, space.dimension)
-            v = VLevels(config.prime, space.dimension + 1, q_max)
-            tensor = tensor_cochain_algebra(v, omega, q_max)
-            cx = SectionComplex(space, tensor, q_max)
-            per_weight[w] = {q: cx.cohomology(q) for q in range(q_max + 1)}
-        reports = per_weight[config.weight]
-        other = per_weight[max(1, config.weight - 1)]
-        stable = {q: reports[q].invariants() == other[q].invariants()
-                  for q in reports}
+        v = VLevels(config.prime, space.dimension + 1, q_max)
+        _, reports, stable = stable_cohomology(
+            space, lambda w: tensor_cochain_algebra(
+                v, OmegaLevels(w, config.prime, space.dimension), q_max),
+            config.weight, q_max)
         payload = cohomology_report(manifest, reports, stable=stable)
         return payload, 0 if all(stable.values()) else 3
     raise ConfigurationError(f"unknown model {args.model}")

@@ -175,8 +175,7 @@ class OmegaLevels:
         self.max_level = max_level
         self.q_max = q_max if q_max is not None else max_level
         self._levels = {}
-        self._faces = {}
-        self._degens = {}
+        self._maps = {}
 
     def level(self, n):
         if n not in self._levels:
@@ -237,38 +236,28 @@ class OmegaLevels:
 
     def face_matrix(self, n, i, k):
         """Matrix of the i-th face map on degree-k forms, level n -> n-1."""
-        key = (n, i, k)
-        if key not in self._faces:
-            lv, target = self.level(n), self.level(n - 1)
-            var_images, dx_images = self._face_images(n, i)
-            rows = [[Fraction(0)] * lv.dims(k) for _ in range(target.dims(k))]
-            for j, mon in enumerate(lv.basis.get(k, [])):
-                img = OmegaElement.monomial(mon).substitute(
-                    var_images, dx_images, n - 1)
-                vec = target.to_vector(img, k)
-                if any(valuation(c, self.prime) < 0 for c in vec if c):
-                    raise StructuralError("face image escapes the target lattice")
-                for r, c in enumerate(vec):
-                    rows[r][j] = c
-            self._faces[key] = rows
-        return self._faces[key]
+        return self._structure_matrix(self._face_images, n, i, k, n - 1)
 
     def degen_matrix(self, n, i, k):
-        key = (n, i, k)
-        if key not in self._degens:
-            lv, target = self.level(n), self.level(n + 1)
-            var_images, dx_images = self._degen_images(n, i)
-            rows = [[Fraction(0)] * lv.dims(k) for _ in range(target.dims(k))]
-            for j, mon in enumerate(lv.basis.get(k, [])):
+        """Matrix of the i-th degeneracy on degree-k forms, level n -> n+1."""
+        return self._structure_matrix(self._degen_images, n, i, k, n + 1)
+
+    def _structure_matrix(self, images, n, i, k, target_n):
+        """Level-to-level matrix of the map given by the chart images; cached."""
+        key = (n, i, k, target_n)
+        if key not in self._maps:
+            lv, target = self.level(n), self.level(target_n)
+            var_images, dx_images = images(n, i)
+            cols = []
+            for mon in lv.basis.get(k, []):
                 img = OmegaElement.monomial(mon).substitute(
-                    var_images, dx_images, n + 1)
+                    var_images, dx_images, target_n)
                 vec = target.to_vector(img, k)
                 if any(valuation(c, self.prime) < 0 for c in vec if c):
-                    raise StructuralError("degeneracy image escapes the lattice")
-                for r, c in enumerate(vec):
-                    rows[r][j] = c
-            self._degens[key] = rows
-        return self._degens[key]
+                    raise StructuralError("structure map escapes the target lattice")
+                cols.append(vec)
+            self._maps[key] = columns_to_rows(cols, target.dims(k))
+        return self._maps[key]
 
     def unit_vector(self, n):
         lv = self.level(n)
@@ -300,7 +289,8 @@ def omega_degeneracy(levels, n, i, element):
 # ---------------------------------------------------------------------------
 
 def mat_vec(rows, vec):
-    return [sum(r[j] * vec[j] for j in range(len(vec)) if vec[j]) for r in rows]
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum(r[j] * x for j, x in support if r[j]) for r in rows]
 
 
 def mat_mul(a, b):
@@ -311,12 +301,18 @@ def mat_mul(a, b):
              for j in range(cols)] for i in range(len(a))]
 
 
-def zero_rows(nrows, ncols):
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
 def identity_rows(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def combine_columns(cols, coords, length):
+    """The vector sum_j coords[j] * cols[j], of the given length."""
+    out = [Fraction(0)] * length
+    for j, c in enumerate(coords):
+        if c:
+            for r in range(length):
+                out[r] += c * cols[j][r]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,42 +368,25 @@ class SectionComplex:
         for name, d in self.cells:
             if d == 0:
                 continue
+            off_s, width_s = offs[name]
             for i in range(d + 1):
                 img = self.space.faces[(name, i)]
-                face = self.levels.face_matrix(d, i, k)
-                word = self._word_matrix(img.word, self.space.dim_of(img.base), k)
-                nrows = self.levels.dims(d - 1, k)
-                row_block = zero_rows(nrows, total)
-                off_s, width_s = offs[name]
-                for r in range(nrows):
-                    for j in range(width_s):
-                        if face[r][j]:
-                            row_block[r][off_s + j] = face[r][j]
-                off_b, width_b = offs[img.base]
-                for r in range(nrows):
-                    for j in range(width_b):
-                        if word[r][j]:
-                            row_block[r][off_b + j] -= word[r][j]
-                constraint_rows.extend(row_block)
+                off_b, _ = offs[img.base]
+                word = self._word_matrix(
+                    img.word, self.space.dim_of(img.base), k) if img.word else None
+                for r, face_row in enumerate(self.levels.face_matrix(d, i, k)):
+                    row = [Fraction(0)] * total
+                    row[off_s:off_s + width_s] = face_row
+                    if word is None:
+                        row[off_b + r] -= 1
+                    else:
+                        for j, c in enumerate(word[r]):
+                            if c:
+                                row[off_b + j] -= c
+                    constraint_rows.append(row)
         if not constraint_rows:
-            return [[Fraction(1) if t == s else Fraction(0)
-                     for t in range(total)] for s in range(total)]
+            return identity_rows(total)
         return p_local_kernel(constraint_rows, self.prime, total)
-
-    def ambient_diff(self, k):
-        """Componentwise differential on the degree-k ambient block."""
-        offs_k, total_k = self.cell_block(k)
-        offs_k1, total_k1 = self.cell_block(k + 1)
-        rows = zero_rows(total_k1, total_k)
-        for name, d in self.cells:
-            dmat = self.levels.diff_matrix(d, k)
-            off_s, width = offs_k[name]
-            off_t, height = offs_k1[name]
-            for r in range(height):
-                for j in range(width):
-                    if dmat[r][j]:
-                        rows[off_t + r][off_s + j] = dmat[r][j]
-        return rows
 
     def _solver(self, k):
         """The factorization of the degree-k section basis, made once."""
@@ -424,45 +403,44 @@ class SectionComplex:
         return sol
 
     def diff_in_sections(self, k):
-        """The differential as a matrix from degree-k to degree-(k+1) sections."""
+        """The differential as a matrix from degree-k to degree-(k+1) sections.
+
+        It acts on each cell's block by that cell's level matrix; the blocks
+        of degree k+1 follow the same cell order.
+        """
         if k not in self._diffs:
-            amb = self.ambient_diff(k)
-            cols = [self.express(k + 1, mat_vec(amb, sec))
-                    for sec in self.sections.get(k, [])]
+            offs, _ = self.cell_block(k)
+            dmats = {d: self.levels.diff_matrix(d, k)
+                     for d in {d for _, d in self.cells}}
+            blocks = [(offs[name], dmats[d]) for name, d in self.cells]
+            cols = []
+            for sec in self.sections.get(k, []):
+                out = []
+                for (off, width), dmat in blocks:
+                    out.extend(mat_vec(dmat, sec[off:off + width]))
+                cols.append(self.express(k + 1, out))
             self._diffs[k] = columns_to_rows(cols, len(self.sections.get(k + 1, [])))
         return self._diffs[k]
 
     def multiply_sections(self, k1, v1, k2, v2):
         """Product of two sections given in section coordinates."""
-        offs1, _ = self.cell_block(k1)
-        offs2, _ = self.cell_block(k2)
+        offs1, total1 = self.cell_block(k1)
+        offs2, total2 = self.cell_block(k2)
         offs_out, total_out = self.cell_block(k1 + k2)
-        amb1 = self._to_ambient(k1, v1)
-        amb2 = self._to_ambient(k2, v2)
+        amb1 = combine_columns(self.sections[k1], v1, total1)
+        amb2 = combine_columns(self.sections[k2], v2, total2)
         out = [Fraction(0)] * total_out
         for name, d in self.cells:
             o1, w1 = offs1[name]
             o2, w2 = offs2[name]
             oo, wo = offs_out[name]
-            piece = self.levels.multiply(
+            out[oo:oo + wo] = self.levels.multiply(
                 d, k1, amb1[o1:o1 + w1], k2, amb2[o2:o2 + w2])
-            for r, c in enumerate(piece):
-                out[oo + r] = c
         return self.express(k1 + k2, out)
-
-    def _to_ambient(self, k, coords):
-        cols = self.sections[k]
-        offs, total = self.cell_block(k)
-        out = [Fraction(0)] * total
-        for j, c in enumerate(coords):
-            if c:
-                for r in range(total):
-                    out[r] += c * cols[j][r]
-        return out
 
     def cohomology(self, q):
         d_prev = self.diff_in_sections(q - 1) if q > 0 else \
-            zero_rows(len(self.sections.get(0, [])), 0)
+            [[] for _ in self.sections.get(0, [])]
         d_cur = self.diff_in_sections(q)
         return p_local_cohomology(d_prev, d_cur, self.prime)
 
@@ -477,6 +455,24 @@ def omega_of_space(space, weight, q_max, prime):
 # cohomology of omega with stability flags
 # ---------------------------------------------------------------------------
 
+def stable_cohomology(space, levels_at, weight, q_max):
+    """The section complex at a weight, its reports, and per-degree flags.
+
+    levels_at(w) gives the level family at weight w.  A degree is flagged
+    stable when weight W-1 gives the same invariants; weight 1 is compared
+    with itself, so it reads stable.  Returns (complex, reports, stable).
+    """
+    def at(w):
+        cx = SectionComplex(space, levels_at(w), q_max)
+        return cx, {q: cx.cohomology(q) for q in range(q_max + 1)}
+
+    big, reports = at(weight)
+    _, other = (big, reports) if weight == 1 else at(weight - 1)
+    stable = {q: reports[q].invariants() == other[q].invariants()
+              for q in reports}
+    return big, reports, stable
+
+
 def omega_cohomology(space, weight, q_max, prime):
     """Per-degree p-local reports with W vs W-1 stability flags and products.
 
@@ -485,14 +481,8 @@ def omega_cohomology(space, weight, q_max, prime):
     """
     if weight < 2:
         raise ValueError("stability needs weight >= 2")
-    big = SectionComplex(space, OmegaLevels(weight, prime, space.dimension),
-                         q_max)
-    small = SectionComplex(space, OmegaLevels(weight - 1, prime,
-                                              space.dimension), q_max)
-    reports = {q: big.cohomology(q) for q in range(q_max + 1)}
-    reports_small = {q: small.cohomology(q) for q in range(q_max + 1)}
-    stable = {q: reports[q].invariants() == reports_small[q].invariants()
-              for q in range(q_max + 1)}
+    big, reports, stable = stable_cohomology(
+        space, lambda w: OmegaLevels(w, prime, space.dimension), weight, q_max)
     products = {}
     for q1 in range(q_max + 1):
         for q2 in range(q_max + 1 - q1):
@@ -601,14 +591,7 @@ class LevelModule:
     def _to_ambient(self, n, coords):
         if self.identity_basis:
             return list(coords)
-        basis = self.bases[n]
-        dim_amb = self.levels.dims(n, self.k)
-        out = [Fraction(0)] * dim_amb
-        for j, c in enumerate(coords):
-            if c:
-                for r in range(dim_amb):
-                    out[r] += c * basis[j][r]
-        return out
+        return combine_columns(self.bases[n], coords, self.levels.dims(n, self.k))
 
     def _from_ambient(self, n, vec):
         if self.identity_basis:
@@ -669,9 +652,8 @@ def moore_complex(module, top_level):
 
 def moore_homology(module, m, top_level):
     bases, diffs = moore_complex(module, top_level)
-    d_in = diffs.get(m + 1, zero_rows(len(bases[m]), 0))
-    d_out = diffs.get(m, zero_rows(0, len(bases[m]))) if m >= 1 else \
-        zero_rows(0, len(bases[m]))
+    d_in = diffs.get(m + 1, [[] for _ in bases[m]])
+    d_out = diffs.get(m, [])
     return p_local_cohomology(d_in, d_out, module.prime), bases, diffs
 
 

@@ -30,7 +30,7 @@ from padicforms.simplicial import (
     SimplicialSet,
     normalized_cochain_complex,
 )
-from padicforms.products import cup_on_vectors, interval_decompositions
+from padicforms.products import cup_on_vectors
 
 
 class UndefinedMasseyProduct(ValueError):
@@ -94,22 +94,7 @@ class DgaData:
             return cup_on_vectors(space, q1, q2, v1, v2, "Z")
 
         def cup1(q1, q2, v1, v2):
-            deg = q1 + q2 - 1
-            out = [0] * space.n_cells(deg)
-            if min(q1, q2) < 1 or not out:
-                return out
-            decomps = list(interval_decompositions(q1, q2, 1))
-            for idx, sigma in enumerate(space.simplices[deg]):
-                total = 0
-                for s_a, s_b, sign in decomps:
-                    fa = space.vertex_face(sigma, s_a)
-                    fb = space.vertex_face(sigma, s_b)
-                    if fa.is_degenerate or fb.is_degenerate:
-                        continue
-                    total += sign * v1[space.index_of(q1, fa.base)] * \
-                        v2[space.index_of(q2, fb.base)]
-                out[idx] = total
-            return out
+            return cup_on_vectors(space, q1, q2, v1, v2, "Z", i=1)
 
         return cls(cx.dims, cx.diffs, mul, cup1, label=space.name)
 

@@ -220,10 +220,15 @@ def block_compose(outer, inner):
 
 # -- cohomology ring of a space --------------------------------------------------
 
-def cup_on_vectors(space, p_deg, q_deg, v1, v2, ring):
+def cup_on_vectors(space, p_deg, q_deg, v1, v2, ring, i=0):
+    """a cup_i b on coefficient vectors; zero when i is out of range.
+
+    i = 0 calls cup directly: it is the hot path of DgaData.mul and
+    cohomology_ring, and cup_i's extra checks cost a few per cent there.
+    """
     a = Cochain(space, p_deg, ring, tuple(v1))
     b = Cochain(space, q_deg, ring, tuple(v2))
-    return list(cup(a, b).values)
+    return list((cup(a, b) if i == 0 else _cup_i_or_zero(a, b, i)).values)
 
 
 def cohomology_ring(space, ring, p, q_max=None):

@@ -365,3 +365,88 @@ def test_contraction_examples():
     assert contraction_K({0: 1}) == {1: Fraction(1)}
     assert contraction_homotopy_defect({3: 1}) == {}
     assert contraction_homotopy_defect({0: 5, 2: 3, 7: Fraction(1, 2)}) == {}
+
+
+# -- oracles for the per-cell section machinery ---------------------------------------
+
+def _frozen_ambient_diff(cx, k):
+    """The dense, block-diagonal differential on the degree-k ambient block,
+    kept here as the reference that the per-cell differential must match."""
+    offs_k, total_k = cx.cell_block(k)
+    offs_k1, total_k1 = cx.cell_block(k + 1)
+    rows = [[Fraction(0)] * total_k for _ in range(total_k1)]
+    for name, d in cx.cells:
+        dmat = cx.levels.diff_matrix(d, k)
+        off_s, width = offs_k[name]
+        off_t, height = offs_k1[name]
+        for r in range(height):
+            for j in range(width):
+                if dmat[r][j]:
+                    rows[off_t + r][off_s + j] = dmat[r][j]
+    return rows
+
+
+def _assert_diff_matches_dense(cx):
+    for k in range(cx.q_max + 1):
+        dense = _frozen_ambient_diff(cx, k)
+        cols = [cx.express(k + 1, [sum(a * b for a, b in zip(row, sec) if a)
+                                   for row in dense])
+                for sec in cx.sections[k]]
+        n_out = len(cx.sections[k + 1])
+        want = [[col[r] for col in cols] for r in range(n_out)]
+        assert cx.diff_in_sections(k) == want, (cx.space.name, k)
+
+
+def test_diff_in_sections_matches_dense_ambient_diff_omega():
+    from padicforms.massey import random_space
+    spaces = [rp2(), sphere(2), delta(2), boundary_delta(3)] + \
+        [random_space(seed, 3, 4, 2) for seed in range(4)]
+    for p in (2, 3):
+        for space in spaces:
+            q_max = min(2, space.dimension)
+            levels = OmegaLevels(3, p, space.dimension)
+            _assert_diff_matches_dense(SectionComplex(space, levels, q_max))
+
+
+def test_diff_in_sections_matches_dense_ambient_diff_tensor():
+    from padicforms.decalage import VLevels, tensor_cochain_algebra
+    from padicforms.massey import random_space
+    spaces = [sphere(1), delta(1), boundary_delta(2), random_space(5, 2, 3, 0)]
+    for p in (2, 3):
+        for space in spaces:
+            q_max = min(1, space.dimension)
+            tensor = tensor_cochain_algebra(
+                VLevels(p, space.dimension + 1, q_max),
+                OmegaLevels(2, p, space.dimension), q_max)
+            _assert_diff_matches_dense(SectionComplex(space, tensor, q_max))
+
+
+def _frozen_structure_matrix(levels, n, i, k, target_n, apply_map):
+    """A face or degeneracy matrix built monomial by monomial, kept here as
+    the reference for the cached level builder."""
+    lv, target = levels.level(n), levels.level(target_n)
+    rows = [[Fraction(0)] * lv.dims(k) for _ in range(target.dims(k))]
+    for j, mon in enumerate(lv.basis.get(k, [])):
+        vec = target.to_vector(
+            apply_map(levels, n, i, OmegaElement.monomial(mon)), k)
+        assert all(valuation(c, levels.prime) >= 0 for c in vec if c)
+        for r, c in enumerate(vec):
+            rows[r][j] = c
+    return rows
+
+
+def test_face_and_degeneracy_builder_match_frozen_copies():
+    for p in (2, 3, 5):
+        for w in range(1, 5):
+            levels = OmegaLevels(w, p, 3)
+            for n in range(4):
+                for i in range(n + 1):
+                    for k in range(n + 1):
+                        if n >= 1:
+                            assert levels.face_matrix(n, i, k) == \
+                                _frozen_structure_matrix(
+                                    levels, n, i, k, n - 1, omega_face)
+                        if n <= 2:
+                            assert levels.degen_matrix(n, i, k) == \
+                                _frozen_structure_matrix(
+                                    levels, n, i, k, n + 1, omega_degeneracy)
