@@ -20,10 +20,12 @@ from padicforms.linalg import (
     StructuralError,
     cohomology,
     columns_to_rows,
+    combine_columns,
     complete_basis,
     hnf_rows,
+    identity_rows,
     kernel_basis,
-    kernel_mod,
+    mat_vec,
 )
 from padicforms.simplicial import delta, normalized_cochain_complex
 from padicforms.products import cup_on_vectors
@@ -97,8 +99,7 @@ def _shifted_lattice(complex_, p, rule):
     for n in range(top + 1):
         dim = complex_.dim(n)
         kernel = kernel_basis(complex_.diff(n))
-        comp = complete_basis(kernel, dim) if kernel or dim else \
-            [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
+        comp = complete_basis(kernel, dim)
         rows = []
         for col in kernel:
             rows.append([p ** rule(n, True) * x for x in col])
@@ -133,7 +134,7 @@ def eta_p(complex_, p):
     for n in range(top + 1):
         dim = complex_.dim(n)
         # y with dy = p z
-        ker = kernel_mod(complex_.diff(n), p)
+        ker = IntFactorization(complex_.diff(n)).kernel(p)
         scaled = [[p ** n * x for x in vec] for vec in ker]
         bases.append(hnf_rows(scaled, dim))
     return ShiftedComplex(complex_, bases, f"eta_{p}")
@@ -242,9 +243,7 @@ class VLevels:
                                  vertex_map, k)
         cols = []
         for vec in src.bases[k] if k < len(src.bases) else []:
-            img = [sum(amb[r][j] * vec[j] for j in range(len(vec)))
-                   for r in range(len(amb))]
-            sol = tgt.coordinates(k, img)
+            sol = tgt.coordinates(k, mat_vec(amb, vec))
             if sol is None:
                 raise StructuralError("structure map left the shifted lattice")
             cols.append(sol)
@@ -269,10 +268,8 @@ class VLevels:
 
     def multiply(self, n, k1, v1, k2, v2):
         src = self.shifted(n)
-        amb1 = [sum(src.bases[k1][j][r] * v1[j] for j in range(len(v1)))
-                for r in range(self.space(n).n_cells(k1))]
-        amb2 = [sum(src.bases[k2][j][r] * v2[j] for j in range(len(v2)))
-                for r in range(self.space(n).n_cells(k2))]
+        amb1 = combine_columns(src.bases[k1], v1, self.space(n).n_cells(k1))
+        amb2 = combine_columns(src.bases[k2], v2, self.space(n).n_cells(k2))
         prod = cup_on_vectors(self.space(n), k1, k2, amb1, amb2, "Z")
         sol = src.coordinates(k1 + k2, prod)
         if sol is None:
@@ -316,13 +313,13 @@ class TensorLevels:
         tgt = self.basis(n, k + 1)
         index = {t: pos for pos, t in enumerate(tgt)}
         rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+        mats = {i: (self.first.diff_matrix(n, i), self.second.diff_matrix(n, k - i))
+                for i in {t[0] for t in src}}
         for col, (i, a, b) in enumerate(src):
-            j = k - i
-            da = self.first.diff_matrix(n, i)
+            da, db = mats[i]
             for r in range(len(da)):
                 if da[r][a]:
                     rows[index[(i + 1, r, b)]][col] += da[r][a]
-            db = self.second.diff_matrix(n, j)
             sign = (-1) ** i
             for r in range(len(db)):
                 if db[r][b]:
@@ -334,9 +331,9 @@ class TensorLevels:
         tgt = self.basis(target_key, k)
         index = {t: pos for pos, t in enumerate(tgt)}
         rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+        mats = {i: (first_mat(i), second_mat(k - i)) for i in {t[0] for t in src}}
         for col, (i, a, b) in enumerate(src):
-            fm = first_mat(i)
-            sm = second_mat(k - i)
+            fm, sm = mats[i]
             for r1 in range(len(fm)):
                 if not fm[r1][a]:
                     continue
@@ -365,6 +362,9 @@ class TensorLevels:
         tgt = self.basis(n, k1 + k2)
         index = {t: pos for pos, t in enumerate(tgt)}
         out = [Fraction(0)] * len(tgt)
+        degrees = range(max(k1, k2) + 1)
+        first_units = {i: identity_rows(self.first.dims(n, i)) for i in degrees}
+        second_units = {j: identity_rows(self.second.dims(n, j)) for j in degrees}
         for c1, (i1, a1, b1) in enumerate(src1):
             if not v1[c1]:
                 continue
@@ -373,16 +373,10 @@ class TensorLevels:
                     continue
                 j1, j2 = k1 - i1, k2 - i2
                 sign = (-1) ** (j1 * i2)
-                e1 = [Fraction(1) if t == a1 else Fraction(0)
-                      for t in range(self.first.dims(n, i1))]
-                e2 = [Fraction(1) if t == a2 else Fraction(0)
-                      for t in range(self.first.dims(n, i2))]
-                fa = self.first.multiply(n, i1, e1, i2, e2)
-                f1 = [Fraction(1) if t == b1 else Fraction(0)
-                      for t in range(self.second.dims(n, j1))]
-                f2 = [Fraction(1) if t == b2 else Fraction(0)
-                      for t in range(self.second.dims(n, j2))]
-                sb = self.second.multiply(n, j1, f1, j2, f2)
+                fa = self.first.multiply(n, i1, first_units[i1][a1],
+                                         i2, first_units[i2][a2])
+                sb = self.second.multiply(n, j1, second_units[j1][b1],
+                                          j2, second_units[j2][b2])
                 coeff = v1[c1] * v2[c2] * sign
                 for ra, ca in enumerate(fa):
                     if not ca:

@@ -32,8 +32,14 @@ from padicforms.linalg import (
     PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
+    cohomology,
     columns_to_rows,
+    combine_columns,
+    gf_kernel,
+    identity_rows,
     lattice_membership,
+    mat_mul,
+    mat_vec,
     p_local_cohomology,
     p_local_kernel,
     p_local_solve,
@@ -169,11 +175,10 @@ def _bounded_exponents(n, budget):
 class OmegaLevels:
     """Simplicial family of weight-truncated form lattices, with caching."""
 
-    def __init__(self, weight, prime, max_level, q_max=None):
+    def __init__(self, weight, prime, max_level):
         self.weight = weight
         self.prime = prime
         self.max_level = max_level
-        self.q_max = q_max if q_max is not None else max_level
         self._levels = {}
         self._maps = {}
 
@@ -282,37 +287,6 @@ def omega_face(levels, n, i, element):
 def omega_degeneracy(levels, n, i, element):
     var_images, dx_images = levels._degen_images(n, i)
     return element.substitute(var_images, dx_images, n + 1)
-
-
-# ---------------------------------------------------------------------------
-# matrix helpers on Fraction rows
-# ---------------------------------------------------------------------------
-
-def mat_vec(rows, vec):
-    support = [(j, x) for j, x in enumerate(vec) if x]
-    return [sum(r[j] * x for j, x in support if r[j]) for r in rows]
-
-
-def mat_mul(a, b):
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
-             for j in range(cols)] for i in range(len(a))]
-
-
-def identity_rows(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def combine_columns(cols, coords, length):
-    """The vector sum_j coords[j] * cols[j], of the given length."""
-    out = [Fraction(0)] * length
-    for j, c in enumerate(coords):
-        if c:
-            for r in range(length):
-                out[r] += c * cols[j][r]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +421,7 @@ class SectionComplex:
 
 def omega_of_space(space, weight, q_max, prime):
     """Compatible form families on a library space, at truncation."""
-    levels = OmegaLevels(weight, prime, space.dimension, q_max)
+    levels = OmegaLevels(weight, prime, space.dimension)
     return SectionComplex(space, levels, q_max)
 
 
@@ -614,11 +588,7 @@ class LevelModule:
             if self.identity_basis:
                 self._face_cache[(n, i)] = self.levels.face_matrix(n, i, self.k)
             else:
-                cols = []
-                for j in range(self.dim(n)):
-                    e = [Fraction(1) if t == j else Fraction(0)
-                         for t in range(self.dim(n))]
-                    cols.append(self.face(n, i, e))
+                cols = [self.face(n, i, e) for e in identity_rows(self.dim(n))]
                 self._face_cache[(n, i)] = columns_to_rows(cols, self.dim(n - 1))
         return self._face_cache[(n, i)]
 
@@ -811,7 +781,6 @@ def apl_mod_p(n, prime, weight):
     """
     if n > 2:
         raise ValueError("desk-scale bound n <= 2")
-    from padicforms.linalg import cohomology
     forms = PolynomialForms(n, weight)
     out = {"n": n, "prime": prime, "weight": weight, "dims": {}, "reports": {}}
     for k in range(n + 1):
@@ -831,13 +800,12 @@ def apl_mod_p(n, prime, weight):
 
 def apl_cocycle_monomials(n, prime, weight):
     """Monomials spanning the mod-p cocycles, per degree (exact, by kernel)."""
-    from padicforms.linalg import _gf_kernel
     forms = PolynomialForms(n, weight)
     result = {}
     for k in range(n + 1):
         rows = forms.diff_rows(k)
-        ker = _gf_kernel([[x % prime for x in r] for r in rows], prime,
-                         forms.dims(k))
+        ker = gf_kernel([[x % prime for x in r] for r in rows], prime,
+                        forms.dims(k))
         result[k] = (forms.basis[k], ker)
     return result
 

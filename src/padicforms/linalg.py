@@ -8,16 +8,21 @@ the algorithms favour clarity and small coefficients (minimal-pivot choice)
 over asymptotics.
 
 Factor once, solve many: each elimination engine has one factorization type,
-IntFactorization (integer SNF, solves over Z and Z/m) and PLocalFactorization
-(Smith form over the local ring at p), with ``solve`` and ``kernel`` methods.
-The one-shot functions solve_int, kernel_basis, p_local_solve and
-p_local_kernel wrap a fresh factorization; owners of a fixed matrix keep its
-factorization and reuse it.  Both Smith forms record the inverse of their left
-transform as they eliminate.  The local one is fraction-free: it eliminates
-integer rows with p-unit scales, keeps that integer form for its solves, and
-makes Fractions only for its results.  Cohomology over Z, Z/p^k and the local
-ring share one quotient routine; F_p has one reduced-echelon routine
+IntFactorization (integer SNF U*A*V = D) and PLocalFactorization (Smith form
+over the local ring at p), with ``solve`` and ``kernel`` methods.  One integer
+Smith form answers solves and kernels over Z and over Z/m alike: x = V*y
+solves A*x = 0 (mod m) iff m divides d_j*y_j for every j.  The one-shot
+functions solve_int, kernel_basis, p_local_solve and p_local_kernel wrap a
+fresh factorization; owners of a fixed matrix keep its factorization and reuse
+it.  Both Smith forms record the inverse of their left transform as they
+eliminate.  The local one is fraction-free: it eliminates integer rows with
+p-unit scales, keeps that integer form for its solves, and makes Fractions
+only for its results.  Cohomology over Z, Z/p^k and the local ring share one
+quotient routine; F_p has one reduced-echelon routine
 (``_gf_insert``/``_gf_reduce``) for kernels, images and class coordinates.
+
+The dense row helpers (mat_vec, mat_mul, combine_columns, identity_rows) live
+here too; no other module does linear algebra of its own.
 """
 
 from dataclasses import dataclass, field
@@ -139,8 +144,34 @@ def columns_to_rows(columns, nrows):
     return [[col[r] for col in columns] for r in range(nrows)]
 
 
-def _identity_rows(n):
+def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_vec(rows, vec):
+    """rows * vec for dense rows; the vector's nonzero entries are found once."""
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    return [sum(r[j] * x for j, x in support if r[j]) for r in rows]
+
+
+def mat_mul(a, b):
+    if not a:
+        return []
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def combine_columns(cols, coords, length):
+    """The vector sum_j coords[j] * cols[j], of the given length."""
+    out = [0] * length
+    for j, c in enumerate(coords):
+        if c:
+            col = cols[j]
+            for r in range(length):
+                if col[r]:
+                    out[r] += c * col[r]
+    return out
 
 
 def det_bareiss(rows):
@@ -200,9 +231,9 @@ def smith_normal_form(mat):
     """
     a = mat.to_rows()
     n, m = mat.rows, mat.cols
-    u = _identity_rows(n)
-    v = _identity_rows(m)
-    w = _identity_rows(n)  # w[i] is column i of U^-1
+    u = identity_rows(n)
+    v = identity_rows(m)
+    w = identity_rows(n)  # w[i] is column i of U^-1
 
     def row_op(i, j, q):  # row_i -= q * row_j, so col_j of U^-1 += q * col_i
         ai, aj = a[i], a[j]
@@ -441,9 +472,19 @@ class IntFactorization:
             raise StructuralError("recorded inverse column does not invert U")
         return w
 
-    def kernel(self):
-        """Saturated integer basis of ker(A), as a list of column vectors."""
-        return [self.V.column(j) for j in range(self.rank, self.cols)]
+    def kernel(self, modulus=0):
+        """Integer basis of {x : A*x = 0 (mod modulus)}, as column vectors.
+
+        At modulus 0 it is a saturated basis of ker(A).  Otherwise x = V*y is
+        in the kernel iff modulus divides d_j*y_j for every j (d_j = 0 past
+        the diagonal), so the columns (modulus / gcd(d_j, modulus)) * V e_j
+        are a basis of that full-rank lattice.
+        """
+        if not modulus:
+            return [self.V.column(j) for j in range(self.rank, self.cols)]
+        diag = self.diag + [0] * (self.cols - len(self.diag))
+        return [[modulus // gcd(d, modulus) * x for x in self.V.column(j)]
+                for j, d in enumerate(diag)]
 
     def solve(self, target, modulus=0):
         """One x with A*x = target, or None; free coordinates are zero.
@@ -481,19 +522,6 @@ def solve_int(mat, target):
     return IntFactorization(mat).solve(target)
 
 
-def kernel_mod(mat, m):
-    """Integer basis of {x : mat*x = 0 (mod m)}, as columns.
-
-    It is the kernel of [mat | m*I] projected to its first block; the
-    projection is injective, so the result is a basis of a full-rank lattice.
-    """
-    entries = dict(mat.entries)
-    for i in range(mat.rows):
-        entries[(i, mat.cols + i)] = m
-    big = SparseIntMatrix(mat.rows, mat.cols + mat.rows, entries)
-    return [col[:mat.cols] for col in kernel_basis(big)]
-
-
 def complete_basis(columns, dim):
     """Complete a saturated set of integer columns to a basis of Z^dim.
 
@@ -501,7 +529,7 @@ def complete_basis(columns, dim):
     a direct summand (in that case no completion exists).
     """
     if not columns:
-        return _identity_rows(dim)
+        return identity_rows(dim)
     fac = IntFactorization.from_columns(columns, dim)
     s = len(columns)
     if fac.diag.count(1) != s:
@@ -762,7 +790,7 @@ def lattice_membership(target, generators, p, with_certificate=False):
     """Coefficients c_i in the local ring at p with sum(c_i g_i) = target.
 
     target and generators are rational vectors of equal length.  Returns the
-    coefficient list (Fractions with p-coprime denominators), or None when no
+    coefficient list (rationals with p-coprime denominators), or None when no
     p-integral combination exists; with_certificate=True returns
     (coeffs, certificate) where exactly one of the two is None.
     """
@@ -804,8 +832,7 @@ def lattice_membership(target, generators, p, with_certificate=False):
                     return None, InfeasibilityCertificate(func, d, Fraction(c), p)
                 return None
             y[i] = q
-    coeffs = [sum(Fraction(fac.V[(i, j)]) * y[j] for j in range(fac.cols))
-              for i in range(fac.cols)]
+    coeffs = fac.V.mul_vector(y)
     if with_certificate:
         return coeffs, None
     return coeffs
@@ -854,8 +881,7 @@ class AbelianGroupReport:
         if self._gf_prime:
             return _gf_reduce(self._gf_image, vector, self._gf_prime)
         y = self._kernel_coordinates(vector)
-        z = [sum(self._uprime[i][j] * y[j] for j in range(len(y)))
-             for i in range(len(y))]
+        z = mat_vec(self._uprime, y)
         coords = []
         for i, d in enumerate(self._orders):
             if d > 1:
@@ -912,15 +938,13 @@ def _quotient(kernel, relations, factor):
         coords.append(sol)
     if not coords:
         gens = {i: list(kernel[i]) for i in range(s)}
-        return kfac, _identity_rows(s), [0] * s, gens
+        return kfac, identity_rows(s), [0] * s, gens
     rfac = factor(coords, s)
     orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
     gens = {}
     for i, d in enumerate(orders):
         if d != 1:
-            w = rfac.inverse_column(i)
-            gens[i] = [sum(kernel[j][t] * w[j] for j in range(s))
-                       for t in range(ambient)]
+            gens[i] = combine_columns(kernel, rfac.inverse_column(i), ambient)
     return kfac, rfac.left_rows(), orders, gens
 
 
@@ -943,7 +967,7 @@ def cohomology(d_prev, d_cur, ring, p):
     if isinstance(ring, tuple) and ring[0] == "Zmod":
         # the kernel mod m is a full-rank lattice; m * Z^ambient are relations
         m = ring[1]
-        kernel = hnf_rows(kernel_mod(d_cur, m), ambient)
+        kernel = hnf_rows(IntFactorization(d_cur).kernel(m), ambient)
         relations += [[m if t == i else 0 for t in range(ambient)]
                       for i in range(ambient)]
     elif ring == "Z":
@@ -1009,7 +1033,7 @@ def _cohomology_gf(d_prev, d_cur, p):
     The generators are the kernel vectors that enlarge the span of the image
     and the generators before them; d o d = 0 puts the image in the kernel.
     """
-    ker = _gf_kernel(d_cur.to_rows(), p, d_cur.cols)
+    ker = gf_kernel(d_cur.to_rows(), p, d_cur.cols)
     image = {}
     for col in d_prev.columns():
         _gf_insert(image, col, p)
@@ -1056,7 +1080,7 @@ def _gf_insert(basis, vec, p):
     return True
 
 
-def _gf_kernel(rows, p, ncols):
+def gf_kernel(rows, p, ncols):
     """Basis of the kernel of a matrix over F_p (column vectors).
 
     One vector per non-pivot column of the reduced echelon form of the rows.

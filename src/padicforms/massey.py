@@ -20,10 +20,9 @@ from padicforms.linalg import (
     IntFactorization,
     SparseIntMatrix,
     StructuralError,
-    _gf_kernel,
     cohomology,
-    kernel_mod,
-    solve_int,
+    combine_columns,
+    identity_rows,
 )
 from padicforms.simplicial import (
     DegenerateImage,
@@ -117,12 +116,7 @@ def _lattice_to_ambient(shifted, q, coords):
         return [0] * shifted.base.dim(q)
     basis = shifted.bases[q]
     width = len(basis[0]) if basis else shifted.base.dim(q)
-    out = [0] * width
-    for j, c in enumerate(coords):
-        if c:
-            for r in range(width):
-                out[r] += c * basis[j][r]
-    return out
+    return combine_columns(basis, coords, width)
 
 
 def _ambient_to_lattice(shifted, q, vec):
@@ -157,18 +151,14 @@ def solve_over(dga, q, target, ring, shift=0):
     shift > 0 adds the shift-th kernel element to the particular solution,
     yielding an independent defining system for the invariance re-check.
     """
-    kind, m = ring
+    _, m = ring
     mat = dga.diff(q)
     target = [x % m for x in target]
     sol = dga.factor(q).solve(target, m)
     if sol is None:
         return None
     if shift:
-        if kind == "GF":
-            ker = _gf_kernel(mat.to_rows(), m, mat.cols)
-        else:
-            ker = [red for red in ([x % m for x in v] for v in kernel_mod(mat, m))
-                   if any(red)]
+        ker = _reduced_kernel(dga, q, m)
         if ker:
             extra = ker[(shift - 1) % len(ker)]
             sol = [(a + b) % m for a, b in zip(sol, extra)]
@@ -176,6 +166,16 @@ def solve_over(dga, q, target, ring, shift=0):
     if any((x - t) % m for x, t in zip(check, target)):
         raise StructuralError("mod-m solve failed verification")
     return sol
+
+
+def _reduced_kernel(dga, q, m):
+    """Nonzero vectors mod m spanning the kernel of diff(q) over Z/m.
+
+    They come from the held factorization of diff(q); over F_p they are the
+    columns of V mod p whose diagonal entry p divides, so they are a basis.
+    """
+    return [red for red in ([x % m for x in v] for v in dga.factor(q).kernel(m))
+            if any(red)]
 
 
 def is_coboundary_mod(dga, q, vector, ring):
@@ -187,18 +187,14 @@ def is_coboundary_mod(dga, q, vector, ring):
 
 def in_subgroup_mod(dga, q, vector, generators, ring):
     """vector lies in span(generators) + coboundaries + m-multiples."""
-    kind, m = ring
+    _, m = ring
     cols = [list(g) for g in generators]
-    d_prev = dga.diff(q - 1) if q > 0 else SparseIntMatrix.zero(dga.dim(0), 0)
-    for j in range(d_prev.cols):
-        cols.append(d_prev.column(j))
-    dim = dga.dim(q)
-    for i in range(dim):
-        cols.append([m if t == i else 0 for t in range(dim)])
+    if q > 0:
+        cols += dga.diff(q - 1).columns()
     if not cols:
         return all(x % m == 0 for x in vector)
-    return solve_int(SparseIntMatrix.from_columns(cols, dim),
-                     [x % m for x in vector]) is not None
+    return IntFactorization.from_columns(cols, dga.dim(q)).solve(
+        [x % m for x in vector], m) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +315,8 @@ def enumerate_massey_coset(dga, a, b, c, degrees, p):
     v0 = solve_over(dga, qb + qc - 1, bc, ring)
     if u0 is None or v0 is None:
         raise UndefinedMasseyProduct("no defining system", None)
-    ker_u = _gf_kernel(dga.diff(qa + qb - 1).to_rows(), p,
-                       dga.dim(qa + qb - 1))
-    ker_v = _gf_kernel(dga.diff(qb + qc - 1).to_rows(), p,
-                       dga.dim(qb + qc - 1))
+    ker_u = _reduced_kernel(dga, qa + qb - 1, p)
+    ker_v = _reduced_kernel(dga, qb + qc - 1, p)
     report = dga.cohomology(qa + qb + qc - 1, ring)
     values = set()
     for coeffs_u in itertools.product(range(p), repeat=len(ker_u)):
@@ -435,9 +429,6 @@ def obstruction_fixture():
             return out
         return [0] * 0
 
-    cup1_table = {(1, 1): {(A, A): ("deg1", C)},
-                  (2, 1): {(E, A): ("deg2", G), (G, A): None}}
-
     def cup1(q1, q2, v1, v2):
         if q1 == 1 and q2 == 1:
             out = [0, 0, 0, 0]
@@ -465,14 +456,13 @@ def fixture_to_json(dga):
         data["diffs"].append({"rows": mat.rows, "cols": mat.cols,
                               "entries": [[i, j, v] for (i, j), v
                                           in sorted(mat.entries.items())]})
+    units = [identity_rows(dga.dim(q)) for q in range(dga.top_degree() + 1)]
     products = []
     for q1 in range(dga.top_degree() + 1):
         for q2 in range(dga.top_degree() + 1 - q1):
             for i in range(dga.dim(q1)):
                 for j in range(dga.dim(q2)):
-                    v1 = [1 if t == i else 0 for t in range(dga.dim(q1))]
-                    v2 = [1 if t == j else 0 for t in range(dga.dim(q2))]
-                    prod = dga.mul(q1, q2, v1, v2)
+                    prod = dga.mul(q1, q2, units[q1][i], units[q2][j])
                     for r, x in enumerate(prod):
                         if x:
                             products.append([q1, q2, i, j, r, x])
@@ -485,9 +475,7 @@ def fixture_to_json(dga):
                     continue
                 for i in range(dga.dim(q1)):
                     for j in range(dga.dim(q2)):
-                        v1 = [1 if t == i else 0 for t in range(dga.dim(q1))]
-                        v2 = [1 if t == j else 0 for t in range(dga.dim(q2))]
-                        prod = dga.cup1(q1, q2, v1, v2)
+                        prod = dga.cup1(q1, q2, units[q1][i], units[q2][j])
                         for r, x in enumerate(prod):
                             if x:
                                 cup1.append([q1, q2, i, j, r, x])

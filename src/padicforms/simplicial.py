@@ -365,10 +365,9 @@ class CochainComplex:
     to a rank-0 group.  d o d = 0 is asserted on construction.
     """
 
-    def __init__(self, dims, diffs, names=None):
+    def __init__(self, dims, diffs):
         self.dims = list(dims)
         self.diffs = list(diffs)
-        self.names = names
         for q in range(len(self.diffs) - 1):
             if not self.diffs[q + 1].mul(self.diffs[q]).is_zero():
                 raise StructuralError(f"d o d != 0 between degrees {q} and {q + 2}")
@@ -405,4 +404,4 @@ def normalized_cochain_complex(space):
                     entries[(r, c)] = entries.get((r, c), 0) + (-1) ** i
         entries = {k: v for k, v in entries.items() if v}
         diffs.append(SparseIntMatrix(rows, dims[q], entries))
-    return CochainComplex(dims, diffs, names=[list(l) for l in space.simplices])
+    return CochainComplex(dims, diffs)

@@ -16,7 +16,7 @@ from padicforms.linalg import (
     PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
-    _gf_kernel,
+    gf_kernel,
     cohomology,
     complete_basis,
     det_bareiss,
@@ -31,7 +31,15 @@ from padicforms.linalg import (
     smith_normal_form,
     solve_int,
 )
+from padicforms.decalage import build_D
 from padicforms.massey import DgaData, random_space
+from padicforms.simplicial import (
+    boundary_delta,
+    delta,
+    normalized_cochain_complex,
+    rp2,
+    sphere,
+)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -448,11 +456,32 @@ def test_p_local_inverse_columns_invert_u(rows, p):
 @given(int_rows(), st.sampled_from([2, 3, 5]))
 def test_gf_kernel_size_is_corank_of_p_local_snf(rows, p):
     ncols = len(rows[0])
-    ker = _gf_kernel(rows, p, ncols)
+    ker = gf_kernel(rows, p, ncols)
     for v in ker:
         assert all(x % p == 0 for x in M(rows).mul_vector(v))
     _, diag, _ = p_local_snf([[Fraction(x) for x in row] for row in rows], p)
     assert len(ker) == ncols - sum(1 for d in diag if d and valuation(d, p) == 0)
+
+
+def _frozen_kernel_mod(mat, m):
+    """The kernel mod m as first computed: ker [mat | m*I], projected."""
+    entries = dict(mat.entries)
+    for i in range(mat.rows):
+        entries[(i, mat.cols + i)] = m
+    big = SparseIntMatrix(mat.rows, mat.cols + mat.rows, entries)
+    return [col[:mat.cols] for col in kernel_basis(big)]
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 9])
+@ORACLE
+@given(rows=int_rows())
+def test_kernel_mod_m_matches_padded_smith_form(m, rows):
+    mat = M(rows)
+    ker = IntFactorization(mat).kernel(m)
+    assert len(ker) == mat.cols
+    for x in ker:
+        assert all(v % m == 0 for v in mat.mul_vector(x))
+    assert hnf_rows(ker, mat.cols) == hnf_rows(_frozen_kernel_mod(mat, m), mat.cols)
 
 
 def p_units(p):
@@ -607,3 +636,41 @@ def test_zmod_class_coordinates_unchanged():
             reports[key] = dga.cohomology(case["degree"], ("Zmod", case["modulus"]))
         assert reports[key].class_coordinates(case["vector"]) == \
             case["coordinates"], case
+
+
+# -- universal coefficients --------------------------------------------------
+
+def _uct_complexes():
+    spaces = [rp2(), sphere(2), delta(3), boundary_delta(3)] + \
+        [random_space(s, 3, 5, 3) for s in range(8)]
+    for space in spaces:
+        for p in (2, 3):
+            yield space, normalized_cochain_complex(space), p
+            yield space, build_D(space, p), p
+
+
+def _group(cx, q, ring, p):
+    d_prev = cx.diff(q - 1) if q > 0 else SparseIntMatrix.zero(cx.dim(0), 0)
+    return cohomology(d_prev, cx.diff(q), ring, p)
+
+
+def test_universal_coefficients_predict_mod_p_and_mod_p_power_cohomology():
+    """H^q(C; Z/p^k) = H^q(C) (x) Z/p^k + Tor(H^(q+1)(C), Z/p^k), from the Z answer.
+
+    A free summand gives Z/p^k and a Z/p^e summand of H^q or of H^(q+1) gives
+    Z/p^min(e, k); over F_p this counts dimensions.
+    """
+    cases = 0
+    for space, cx, p in _uct_complexes():
+        for q in range(space.dimension + 1):
+            here, above = _group(cx, q, "Z", p), _group(cx, q + 1, "Z", p)
+            tors = here.torsion + above.torsion
+            gf = _group(cx, q, "GF", p)
+            assert gf.free_rank == here.free_rank + len(tors), (space.name, p, q)
+            for k in (1, 2, 3):
+                pk = p ** k
+                got = _group(cx, q, ("Zmod", pk), p)
+                want = sorted([pk] * here.free_rank + [min(t, pk) for t in tors])
+                assert got.invariants() == (0, want), (space.name, p, q, k)
+        cases += 1
+    assert cases == 48

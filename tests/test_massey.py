@@ -3,6 +3,7 @@ import random
 import pytest
 
 from padicforms.decalage import build_D
+from padicforms.linalg import SparseIntMatrix, solve_int
 from padicforms.massey import (
     DgaData,
     MasseyResult,
@@ -11,6 +12,7 @@ from padicforms.massey import (
     enumerate_massey_coset,
     fixture_from_json,
     fixture_to_json,
+    in_subgroup_mod,
     massey_coset_from_result,
     massey_coset_stable,
     massey_scaling_check,
@@ -292,3 +294,48 @@ def test_pushforward_to_shifted_lattice():
         assert in_subgroup_mod(dga_c, res_c.degree, diff, indet_img, ring)
         checked += 1
     assert checked >= 1
+
+
+def _frozen_in_subgroup_mod(dga, q, vector, generators, ring):
+    """in_subgroup_mod as first written: m * e_i columns and a solve over Z."""
+    kind, m = ring
+    cols = [list(g) for g in generators]
+    d_prev = dga.diff(q - 1) if q > 0 else SparseIntMatrix.zero(dga.dim(0), 0)
+    for j in range(d_prev.cols):
+        cols.append(d_prev.column(j))
+    dim = dga.dim(q)
+    for i in range(dim):
+        cols.append([m if t == i else 0 for t in range(dim)])
+    if not cols:
+        return all(x % m == 0 for x in vector)
+    return solve_int(SparseIntMatrix.from_columns(cols, dim),
+                     [x % m for x in vector]) is not None
+
+
+def test_in_subgroup_mod_matches_frozen_padded_solve():
+    """Massey cosets, and cohomology generators with and without one another."""
+    spaces = [random_space(s) for s in range(8)] + [rp2(), sphere(2)]
+    rng = random.Random(11)
+    outcomes = set()
+    for space in spaces:
+        dga = DgaData.from_space(space)
+        for ring in (("GF", 2), ("Zmod", 2 ** 8)):
+            m = ring[1]
+            trials = []
+            for (qa, a), (qb, b) in eligible_pairs(dga, 2, ring=ring):
+                res = triple_massey(dga, a, b, a, ring, degrees=(qa, qb, qa))
+                indet = res.indeterminacy
+                trials += [(res.degree, res.representative, indet),
+                           (res.degree, res.representative, [])]
+                trials += [(res.degree, g, indet[:i] + indet[i + 1:])
+                           for i, g in enumerate(indet)]
+            for q in range(dga.top_degree() + 1):
+                gens = dga.cohomology(q, ring).generators
+                trials += [(q, g, gens[:i] + gens[i + 1:]) for i, g in enumerate(gens)]
+                trials += [(q, [2 * x for x in g], []) for g in gens]
+                trials.append((q, [rng.randrange(m) for _ in range(dga.dim(q))], gens))
+            for q, vec, gens in trials:
+                got = in_subgroup_mod(dga, q, vec, gens, ring)
+                assert got == _frozen_in_subgroup_mod(dga, q, vec, gens, ring)
+                outcomes.add(got)
+    assert outcomes == {True, False}
