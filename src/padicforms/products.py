@@ -19,6 +19,13 @@ universal simplices and are verified exhaustively by the test suite; the same
 convention forces the signed Hirsch identity
 
     (a u b) u_1 c = (-1)^{|a|} a u (b u_1 c) + (-1)^{|b||c|} (a u_1 c) u b.
+
+Every product reads a face-index table of its space: per (p, q, i), the
+(simplex, a-face, b-face, sign) entries of the decompositions above whose
+faces are nondegenerate, derived with vertex_face once and memoised on the
+space (Gonzalez-Diaz and Real, "Computation of cohomology operations on
+finite simplicial complexes", HHA 5, 2003).  A product is then one pass over
+the table; the signs are the ones above.
 """
 
 from padicforms.linalg import StructuralError
@@ -26,23 +33,10 @@ from padicforms.simplicial import (
     Cochain,
     coboundary,
     normalized_cochain_complex,
+    ring_modulus,
     ring_reduce,
     zero_cochain,
 )
-
-
-def cup(a, b):
-    """Front-face/back-face cochain product; degrees add."""
-    a._compatible(b, b.degree)
-    space = a.space
-    p, q = a.degree, b.degree
-    n = p + q
-    values = []
-    for sigma in (space.simplices[n] if n <= space.dimension else []):
-        front = space.vertex_face(sigma, tuple(range(p + 1)))
-        back = space.vertex_face(sigma, tuple(range(p, n + 1)))
-        values.append(ring_reduce(a(front) * b(back), a.ring))
-    return Cochain(space, n, a.ring, tuple(values))
 
 
 def interval_decompositions(p, q, i):
@@ -71,28 +65,61 @@ def interval_decompositions(p, q, i):
         yield tuple(s_a), tuple(s_b), sign
 
 
+def _face_table(space, p, q, i):
+    """The face-index table of cup_i on degrees (p, q); vertex_face runs only here.
+
+    One entry (s, index of the a-face, index of the b-face, sign) per
+    decomposition of the (p+q-i)-simplex number s whose two faces are both
+    nondegenerate; a degenerate face carries no cochain value, so its
+    decomposition is dropped.  At i = 0 each simplex has the single
+    front/back entry, with sign +1.
+    """
+    n = p + q - i
+    decomps = list(interval_decompositions(p, q, i))
+    entries = []
+    for s, sigma in enumerate(space.simplices[n] if n <= space.dimension else []):
+        for s_a, s_b, sign in decomps:
+            fa = space.vertex_face(sigma, s_a)
+            if fa.is_degenerate:
+                continue
+            fb = space.vertex_face(sigma, s_b)
+            if fb.is_degenerate:
+                continue
+            entries.append((s, space.index_of(p, fa.base),
+                            space.index_of(q, fb.base), sign))
+    return tuple(entries)
+
+
+def _product_values(space, p, q, i, va, vb, ring):
+    """Values of a cup_i b from the face table, reduced into ring."""
+    table = space.face_tables.get((p, q, i))
+    if table is None:
+        table = space.face_tables[(p, q, i)] = _face_table(space, p, q, i)
+    out = [0] * space.n_cells(p + q - i)
+    for s, ia, ib, sign in table:
+        x = va[ia]
+        if x:
+            y = vb[ib]
+            if y:
+                out[s] += sign * x * y
+    m = ring_modulus(ring)
+    return [v % m for v in out] if m else out
+
+
+def cup(a, b):
+    """Front-face/back-face cochain product; degrees add."""
+    a._compatible(b, b.degree)
+    values = _product_values(a.space, a.degree, b.degree, 0, a.values, b.values, a.ring)
+    return Cochain(a.space, a.degree + b.degree, a.ring, tuple(values))
+
+
 def cup_i(a, b, i):
     """Overlapping-interval product of degree |a| + |b| - i; cup_0 == cup."""
     a._compatible(b, b.degree)
     if i < 0 or i > min(a.degree, b.degree):
         raise ValueError(f"cup-{i} undefined for degrees {a.degree}, {b.degree}")
-    if i == 0:
-        return cup(a, b)
-    space = a.space
-    p, q = a.degree, b.degree
-    n = p + q - i
-    decomps = list(interval_decompositions(p, q, i))
-    values = []
-    for sigma in (space.simplices[n] if n <= space.dimension else []):
-        total = 0
-        for s_a, s_b, sign in decomps:
-            fa = space.vertex_face(sigma, s_a)
-            fb = space.vertex_face(sigma, s_b)
-            term = a(fa) * b(fb)
-            if term:
-                total += sign * term
-        values.append(ring_reduce(total, a.ring))
-    return Cochain(space, n, a.ring, tuple(values))
+    values = _product_values(a.space, a.degree, b.degree, i, a.values, b.values, a.ring)
+    return Cochain(a.space, a.degree + b.degree - i, a.ring, tuple(values))
 
 
 def _cup_i_or_zero(a, b, i):
@@ -223,12 +250,14 @@ def block_compose(outer, inner):
 def cup_on_vectors(space, p_deg, q_deg, v1, v2, ring, i=0):
     """a cup_i b on coefficient vectors; zero when i is out of range.
 
-    i = 0 calls cup directly: it is the hot path of DgaData.mul and
-    cohomology_ring, and cup_i's extra checks cost a few per cent there.
+    The hot path of DgaData.mul/cup1 and the decalage products: it reads the
+    face table straight off the vectors, with no Cochain on the way in.
     """
-    a = Cochain(space, p_deg, ring, tuple(v1))
-    b = Cochain(space, q_deg, ring, tuple(v2))
-    return list((cup(a, b) if i == 0 else _cup_i_or_zero(a, b, i)).values)
+    if len(v1) != space.n_cells(p_deg) or len(v2) != space.n_cells(q_deg):
+        raise ValueError("value vector has the wrong length")
+    if i < 0 or i > min(p_deg, q_deg):
+        return [0] * space.n_cells(p_deg + q_deg - i)
+    return _product_values(space, p_deg, q_deg, i, v1, v2, ring)
 
 
 def cohomology_ring(space, ring, p, q_max=None):
@@ -244,9 +273,9 @@ def cohomology_ring(space, ring, p, q_max=None):
     products = {}
     for q1 in range(top + 1):
         for q2 in range(top + 1 - q1):
+            target = reports[q1 + q2]
             for i1, g1 in enumerate(reports[q1].generators):
                 for i2, g2 in enumerate(reports[q2].generators):
-                    prod = cup_on_vectors(space, q1, q2, g1, g2, ring)
-                    products[(q1, i1, q2, i2)] = \
-                        reports[q1 + q2].class_coordinates(prod)
+                    prod = _product_values(space, q1, q2, 0, g1, g2, ring)
+                    products[(q1, i1, q2, i2)] = target.class_coordinates(prod)
     return reports, products

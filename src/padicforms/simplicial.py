@@ -68,11 +68,15 @@ class SimplicialSet:
             self.simplices.pop()
         self.faces = dict(faces)
         self._dim_of = {}
+        self._index = {}
         for d, level in enumerate(self.simplices):
-            for s in level:
+            for k, s in enumerate(level):
                 if s in self._dim_of:
                     raise ValueError(f"duplicate simplex name {s!r}")
                 self._dim_of[s] = d
+                self._index[s] = k
+        # the products module's face-index tables, keyed (p, q, i), made on first use
+        self.face_tables = {}
         self._validate()
 
     @property
@@ -88,7 +92,9 @@ class SimplicialSet:
         return 0
 
     def index_of(self, q, name):
-        return self.simplices[q].index(name)
+        if self._dim_of.get(name) != q:
+            raise ValueError(f"{name!r} is not a {q}-simplex")
+        return self._index[name]
 
     def euler_characteristic(self):
         return sum((-1) ** q * len(level) for q, level in enumerate(self.simplices))
@@ -326,7 +332,10 @@ class Cochain:
         return all(ring_reduce(v, self.ring) == 0 for v in self.values)
 
     def _compatible(self, other, degree):
-        if self.space is not other.space and self.space.name != other.space.name:
+        mine, theirs = self.space, other.space
+        # a distinct space is accepted only if cochain vectors index it alike
+        if mine is not theirs and (mine.name, mine.simplices, mine.faces) != \
+                (theirs.name, theirs.simplices, theirs.faces):
             raise ValueError("cochains live on different spaces")
         if self.ring != other.ring:
             raise ValueError("cochains have different coefficient rings")

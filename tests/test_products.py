@@ -3,14 +3,18 @@ import random
 
 import pytest
 
+from padicforms.massey import DgaData, eligible_pairs, random_space
 from padicforms.simplicial import (
     Cochain,
+    SimplicialSet,
     basis_cochain,
     coboundary,
     delta,
     normalized_cochain_complex,
+    ring_reduce,
     rp2,
     sphere,
+    standard_space,
     zero_cochain,
 )
 from padicforms.products import (
@@ -19,6 +23,7 @@ from padicforms.products import (
     cup,
     cup_i,
     cup_i_coboundary_defect,
+    cup_on_vectors,
     hirsch_check,
     hirsch_defect,
     steenrod_square,
@@ -360,3 +365,173 @@ def test_ring_rp2_p2_and_p3():
     assert (reports3[0].free_rank, reports3[0].torsion) == (1, [])
     assert (reports3[1].free_rank, reports3[1].torsion) == (0, [])
     assert (reports3[2].free_rank, reports3[2].torsion) == (0, [])
+
+
+# -- face-index tables against the vertex_face loops they replaced -----------------------
+
+def frozen_decompositions(p, q, i):
+    """The cut decompositions and signs of cup_i, as first written."""
+    n = p + q - i
+    half = p * (p - 1) // 2 + i * (i + 1) // 2
+    for cuts in itertools.combinations(range(n + 1), i + 1):
+        ends = [0] + list(cuts) + [n]
+        s_a, s_b = [], []
+        for m in range(i + 2):
+            seg = range(ends[m], ends[m + 1] + 1)
+            (s_b if m % 2 else s_a).extend(seg)
+        if len(s_a) != p + 1 or len(s_b) != q + 1:
+            continue
+        if len(set(s_a)) != len(s_a) or len(set(s_b)) != len(s_b):
+            continue
+        missing_b = (n * (n + 1)) // 2 - sum(s_b)
+        yield tuple(s_a), tuple(s_b), (-1) ** (missing_b + half)
+
+
+def frozen_cup(a, b):
+    """Front/back product read off vertex_face on every call."""
+    space = a.space
+    p, q = a.degree, b.degree
+    n = p + q
+    values = []
+    for sigma in (space.simplices[n] if n <= space.dimension else []):
+        front = space.vertex_face(sigma, tuple(range(p + 1)))
+        back = space.vertex_face(sigma, tuple(range(p, n + 1)))
+        values.append(ring_reduce(a(front) * b(back), a.ring))
+    return tuple(values)
+
+
+def frozen_cup_i(a, b, i):
+    """Overlapping-interval product read off vertex_face on every call."""
+    if i == 0:
+        return frozen_cup(a, b)
+    space = a.space
+    p, q = a.degree, b.degree
+    n = p + q - i
+    decomps = list(frozen_decompositions(p, q, i))
+    values = []
+    for sigma in (space.simplices[n] if n <= space.dimension else []):
+        total = 0
+        for s_a, s_b, sign in decomps:
+            term = a(space.vertex_face(sigma, s_a)) * b(space.vertex_face(sigma, s_b))
+            if term:
+                total += sign * term
+        values.append(ring_reduce(total, a.ring))
+    return tuple(values)
+
+
+def oracle_spaces():
+    spaces = [standard_space(name, n) for name, n in (
+        ("rp2", None), ("sphere", 2), ("sphere", 3), ("delta", 3),
+        ("boundary_delta", 3), ("boundary_delta", 4))]
+    for s in range(8):
+        spaces.append(random_space(s, 3, 5, 3))
+        spaces.append(random_space(s, 7, 20, 15))
+    return spaces
+
+
+def random_cochain(rng, space, q, ring):
+    if ring == "Z":
+        values = [rng.randint(-3, 3) for _ in range(space.n_cells(q))]
+    else:
+        values = [rng.randrange(ring[1]) for _ in range(space.n_cells(q))]
+    return Cochain(space, q, ring, tuple(values))
+
+
+def test_face_tables_match_frozen_vertex_face_products():
+    rng = random.Random(61)
+    checked = 0
+    for space in oracle_spaces():
+        top = space.dimension
+        for ring in ("Z", ("GF", 2), ("Zmod", 256)):
+            for p_deg in range(top + 1):
+                for q_deg in range(top + 1):
+                    for i in range(min(p_deg, q_deg) + 1):
+                        for _ in range(2):
+                            a = random_cochain(rng, space, p_deg, ring)
+                            b = random_cochain(rng, space, q_deg, ring)
+                            want = frozen_cup_i(a, b, i)
+                            assert cup_i(a, b, i).values == want, \
+                                (space.name, ring, p_deg, q_deg, i)
+                            got = cup_on_vectors(space, p_deg, q_deg, list(a.values),
+                                                 list(b.values), ring, i)
+                            assert tuple(got) == want
+                            if i == 0:
+                                assert cup(a, b).values == want
+                            checked += 1
+    assert checked > 1000
+
+
+# -- which spaces' cochains multiply -----------------------------------------------------
+
+def two_point_edge(reversed_edge):
+    ends = "v w" if reversed_edge else "w v"
+    return SimplicialSet.load(f"space same\n0: v w\n1: a\na: {ends}\n")
+
+
+def test_same_name_different_faces_rejected():
+    x, y = two_point_edge(False), two_point_edge(True)
+    assert x.name == y.name and x.simplices == y.simplices
+    a0 = basis_cochain(x, 0, 0)
+    b0 = basis_cochain(y, 0, 0)
+    b1 = basis_cochain(y, 1, 0)
+    with pytest.raises(ValueError, match="different spaces"):
+        cup(a0, b1)
+    with pytest.raises(ValueError, match="different spaces"):
+        cup_i(a0, b1, 0)
+    with pytest.raises(ValueError, match="different spaces"):
+        a0 + b0
+
+
+def test_two_copies_of_one_library_space_multiply():
+    x, y = standard_space("rp2"), standard_space("rp2")
+    assert x is not y
+    for a in all_basis(x, 1):
+        for b in all_basis(y, 1):
+            same = Cochain(x, 1, "Z", b.values)
+            assert cup(a, b).values == cup(a, same).values
+            assert cup_i(a, b, 1).values == cup_i(a, same, 1).values
+            assert (a + b).values == (a + same).values
+
+
+# -- the face tables are built once per space ---------------------------------------------
+
+@pytest.fixture
+def vertex_face_calls(monkeypatch):
+    calls = [0]
+    original = SimplicialSet.vertex_face
+
+    def counted(self, simplex, vertices):
+        calls[0] += 1
+        return original(self, simplex, vertices)
+
+    monkeypatch.setattr(SimplicialSet, "vertex_face", counted)
+    return calls
+
+
+def test_cohomology_ring_builds_each_table_once(vertex_face_calls):
+    for space in (rp2(), sphere(2), delta(3), random_space(5, 7, 20, 15)):
+        vertex_face_calls[0] = 0
+        _, first = cohomology_ring(space, "Z", 2)
+        # at most one a-face and one b-face per simplex of each (q1, q2) table
+        top = space.dimension
+        slots = sum(space.n_cells(q1 + q2)
+                    for q1 in range(top + 1) for q2 in range(top + 1 - q1))
+        assert vertex_face_calls[0] <= 2 * slots
+        vertex_face_calls[0] = 0
+        assert cohomology_ring(space, "Z", 2)[1] == first
+        assert vertex_face_calls[0] == 0
+
+
+def test_dga_products_reuse_tables_after_eligible_pairs(vertex_face_calls):
+    space = random_space(3, 7, 20, 15)
+    dga = DgaData.from_space(space)
+    pairs = eligible_pairs(dga, 2, ring=("Zmod", 256))
+    assert pairs
+    for (qa, a), (qb, b) in pairs:
+        dga.cup1(qa, qa, a, a)
+    vertex_face_calls[0] = 0
+    for (qa, a), (qb, b) in pairs:
+        dga.mul(qa, qb, a, b)
+        dga.mul(qb, qa, b, a)
+        dga.cup1(qa, qa, a, a)
+    assert vertex_face_calls[0] == 0

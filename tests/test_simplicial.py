@@ -50,6 +50,17 @@ def test_rp2_face_table():
     assert x.faces[("c", 1)] == nd("v")
 
 
+def test_index_of_is_the_position_in_its_level():
+    for space in LIBRARY():
+        for q, level in enumerate(space.simplices):
+            for k, name in enumerate(level):
+                assert space.index_of(q, name) == level.index(name) == k
+    with pytest.raises(ValueError):
+        rp2().index_of(0, "a")
+    with pytest.raises(ValueError):
+        rp2().index_of(1, "nowhere")
+
+
 def test_simplicial_identities_enforced():
     # a 2-cell whose faces break d_0 d_1 = d_0 d_0 is rejected
     nd = lambda s: DegenerateImage((), s)
