@@ -117,6 +117,11 @@ class OmegaLevel:
         gens = []
         subsets = [s for r in range(1, self.n + 1)
                    for s in itertools.combinations(range(1, self.n + 1), r)]
+        closures = {}   # subset -> [gamma^c(p - sum_S x_i) for c = 1..weight]
+        for subset in subsets:
+            form = p_minus_sum(set(subset), self.n, self.prime)
+            closures[subset] = [gamma_power(form, c)
+                                for c in range(1, self.weight + 1)]
         for k in range(self.n + 1):
             for dx in itertools.combinations(range(1, self.n + 1), k):
                 budget = self.weight - k
@@ -124,9 +129,7 @@ class OmegaLevel:
                     base_weight = sum(exps) + k
                     mono = OmegaElement.monomial(DividedMonomial(exps, dx))
                     for subset in subsets:
-                        for c in range(1, self.weight - base_weight + 1):
-                            form = p_minus_sum(set(subset), self.n, self.prime)
-                            closure = gamma_power(form, c)
+                        for closure in closures[subset][:self.weight - base_weight]:
                             gens.append(mono.multiply(closure))
         return gens
 

@@ -9,7 +9,11 @@ defining system.
 
 Computations run on DgaData: differentials plus a product (and optionally a
 cup-1) given degreewise.  Spaces, p-shifted lattices and explicit fixtures all
-provide one.
+provide one.  A DgaData never changes once built, so it holds every
+per-degree answer it has computed: the factorization of each differential,
+the cohomology report per (degree, ring), and the factorization of each
+indeterminacy subgroup [generators | coboundaries].  A batch of triples on
+one DgaData computes each of these once.
 """
 
 import json
@@ -45,6 +49,8 @@ class DgaData:
 
     dims[q] counts basis elements in degree q; diffs[q] maps degree q to q+1;
     mul(q1, q2, v1, v2) multiplies coefficient vectors; cup1 is optional.
+    Answers that depend only on the data are made once and kept; callers
+    share the held objects and must not mutate them.
     """
 
     def __init__(self, dims, diffs, mul, cup1=None, label="dga"):
@@ -54,6 +60,8 @@ class DgaData:
         self.cup1 = cup1
         self.label = label
         self._factors = {}
+        self._cohomology = {}
+        self._subgroups = {}
         for q in range(len(self.diffs) - 1):
             if not self.diffs[q + 1].mul(self.diffs[q]).is_zero():
                 raise StructuralError("d o d != 0 in the Massey input")
@@ -78,12 +86,33 @@ class DgaData:
         return self._factors[q]
 
     def cohomology(self, q, ring):
+        """The cohomology report of degree q over the ring, made once and kept."""
         kind, m = ring
-        d_prev = self.diff(q - 1) if q > 0 else SparseIntMatrix.zero(self.dim(0), 0)
-        if kind == "GF":
-            return cohomology(d_prev, self.diff(q), "GF", m)
-        p = _modulus_prime(m)
-        return cohomology(d_prev, self.diff(q), ("Zmod", m), p)
+        key = (q, kind, m)
+        if key not in self._cohomology:
+            d_prev = self.diff(q - 1) if q > 0 else SparseIntMatrix.zero(self.dim(0), 0)
+            if kind == "GF":
+                report = cohomology(d_prev, self.diff(q), "GF", m)
+            else:
+                report = cohomology(d_prev, self.diff(q), ("Zmod", m),
+                                    _modulus_prime(m))
+            self._cohomology[key] = report
+        return self._cohomology[key]
+
+    def subgroup(self, q, generators):
+        """The factorization over Z of [generators | diff(q-1)], made once and kept.
+
+        None when there are no columns.  It does not depend on a modulus, so
+        solves mod any m share it.
+        """
+        key = (q, tuple(tuple(g) for g in generators))
+        if key not in self._subgroups:
+            cols = [list(g) for g in generators]
+            if q > 0:
+                cols += self.diff(q - 1).columns()
+            self._subgroups[key] = (IntFactorization.from_columns(cols, self.dim(q))
+                                    if cols else None)
+        return self._subgroups[key]
 
     @classmethod
     def from_space(cls, space):
@@ -188,13 +217,10 @@ def is_coboundary_mod(dga, q, vector, ring):
 def in_subgroup_mod(dga, q, vector, generators, ring):
     """vector lies in span(generators) + coboundaries + m-multiples."""
     _, m = ring
-    cols = [list(g) for g in generators]
-    if q > 0:
-        cols += dga.diff(q - 1).columns()
-    if not cols:
+    subgroup = dga.subgroup(q, generators)
+    if subgroup is None:
         return all(x % m == 0 for x in vector)
-    return IntFactorization.from_columns(cols, dga.dim(q)).solve(
-        [x % m for x in vector], m) is not None
+    return subgroup.solve([x % m for x in vector], m) is not None
 
 
 # ---------------------------------------------------------------------------

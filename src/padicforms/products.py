@@ -271,11 +271,18 @@ def cohomology_ring(space, ring, p, q_max=None):
     top = q_max if q_max is not None else space.dimension
     reports = {q: complex_.cohomology(q, ring, p) for q in range(top + 1)}
     products = {}
+    zero_coords = {}   # degree -> class coordinates of the zero cochain
     for q1 in range(top + 1):
         for q2 in range(top + 1 - q1):
             target = reports[q1 + q2]
             for i1, g1 in enumerate(reports[q1].generators):
                 for i2, g2 in enumerate(reports[q2].generators):
                     prod = _product_values(space, q1, q2, 0, g1, g2, ring)
-                    products[(q1, i1, q2, i2)] = target.class_coordinates(prod)
+                    if any(prod):
+                        coords = target.class_coordinates(prod)
+                    else:
+                        if q1 + q2 not in zero_coords:
+                            zero_coords[q1 + q2] = target.class_coordinates(prod)
+                        coords = list(zero_coords[q1 + q2])
+                    products[(q1, i1, q2, i2)] = coords
     return reports, products

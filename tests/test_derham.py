@@ -1,9 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from padicforms.arith import valuation
-from padicforms.divided import DividedMonomial, OmegaElement, one_monomial
+from padicforms.divided import (
+    DividedMonomial,
+    OmegaElement,
+    gamma_power,
+    one_monomial,
+    p_minus_sum,
+)
 from padicforms.derham import (
     OmegaLevel,
     OmegaLevels,
@@ -51,6 +58,44 @@ def test_closure_generators_are_p_integral():
             lv = build_omega(n, 4, p)
             report = lv.closure_comparison()
             assert report["closure_equals_naive_span"]
+
+
+def _frozen_bounded_exponents(n, budget):
+    if n == 0:
+        yield ()
+        return
+    for first in range(budget + 1):
+        for rest in _frozen_bounded_exponents(n - 1, budget - first):
+            yield (first,) + rest
+
+
+def _frozen_closure_generators(n, weight, prime):
+    """OmegaLevel._closure_generators as first written: every gamma power is
+    recomputed for every basis monomial."""
+    gens = []
+    subsets = [s for r in range(1, n + 1)
+               for s in itertools.combinations(range(1, n + 1), r)]
+    for k in range(n + 1):
+        for dx in itertools.combinations(range(1, n + 1), k):
+            budget = weight - k
+            for exps in _frozen_bounded_exponents(n, budget):
+                base_weight = sum(exps) + k
+                mono = OmegaElement.monomial(DividedMonomial(exps, dx))
+                for subset in subsets:
+                    for c in range(1, weight - base_weight + 1):
+                        form = p_minus_sum(set(subset), n, prime)
+                        closure = gamma_power(form, c)
+                        gens.append(mono.multiply(closure))
+    return gens
+
+
+@pytest.mark.parametrize("prime", (2, 3))
+def test_closure_generators_match_frozen_loop(prime):
+    for n in range(4):
+        for weight in range(1, 5):
+            lv = OmegaLevel(n, weight, prime)
+            assert lv.closure_generators == \
+                _frozen_closure_generators(n, weight, prime), (n, weight)
 
 
 def test_differential_in_lattice_and_squares_to_zero():

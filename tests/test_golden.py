@@ -23,3 +23,13 @@ def test_golden_report(case, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def test_golden_reports_in_one_process_forward_and_reversed(capsys):
+    """All cases in one process, twice over in opposite orders: a cache that
+    outlived the run that filled it would change a later report."""
+    for case in CASES + CASES[::-1]:
+        code = main(list(case["argv"]))
+        out = capsys.readouterr().out.encode("utf-8")
+        assert code == case["exit"], case["name"]
+        assert out == (GOLDEN / f"{case['name']}.out").read_bytes(), case["name"]

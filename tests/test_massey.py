@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import padicforms.massey as massey_module
 from padicforms.decalage import build_D
-from padicforms.linalg import SparseIntMatrix, solve_int
+from padicforms.linalg import IntFactorization, SparseIntMatrix, solve_int
 from padicforms.massey import (
     DgaData,
     MasseyResult,
@@ -339,3 +341,128 @@ def test_in_subgroup_mod_matches_frozen_padded_solve():
                 assert got == _frozen_in_subgroup_mod(dga, q, vec, gens, ring)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the per-DgaData memos: one batch of triples on one DgaData
+# ---------------------------------------------------------------------------
+
+MEMO_RINGS = (("GF", 2), ("Zmod", 2 ** 8))
+
+
+def _memo_spaces():
+    return [random_space(s) for s in range(8)] + [rp2(), sphere(2)]
+
+
+def _defined_triples(dga, ring):
+    """Every (a, b, c, degrees) with [a][b] = [b][c] = 0 over eligible_pairs."""
+    pairs = eligible_pairs(dga, 2, ring=ring)
+    right = {}
+    for (qb, b), (qc, c) in pairs:
+        right.setdefault((qb, tuple(b)), []).append((qc, c))
+    return [(a, b, c, (qa, qb, qc))
+            for (qa, a), (qb, b) in pairs
+            for qc, c in right.get((qb, tuple(b)), [])]
+
+
+def _answers(dga, member, ring, a, b, c, degrees, shift):
+    """<a, b, c>, and for each degree the triple touches, whether each class
+    generator lies in the span of the generators before it, and of those and
+    itself; member(dga, q, vector, generators, ring) decides membership."""
+    result = triple_massey(dga, a, b, c, ring, degrees, shift=shift)
+    qa, qb, qc = degrees
+    members = []
+    for q in sorted({result.degree, qa + qb - 1, qb + qc - 1}):
+        gens = dga.cohomology(q, ring).generators
+        members += [(member(dga, q, g, gens[:i], ring),
+                     member(dga, q, g, gens[:i + 1], ring))
+                    for i, g in enumerate(gens)]
+    return result, members
+
+
+def _batch(dga, triples):
+    return [_answers(dga, in_subgroup_mod, *triple, shift)
+            for triple in triples for shift in (0, 1)]
+
+
+def _snapshot(obj):
+    """obj as nested plain data, so that held objects compare by value."""
+    if obj is None or isinstance(obj, (int, Fraction, str)):
+        return obj
+    if isinstance(obj, dict):
+        return sorted((repr(k), _snapshot(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return [_snapshot(x) for x in obj]
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, _snapshot(vars(obj))
+    return type(obj).__name__, [_snapshot(getattr(obj, name))
+                                for name in obj.__slots__]
+
+
+@pytest.mark.parametrize("space", _memo_spaces(), ids=lambda s: s.name)
+def test_shared_dga_batch_matches_fresh_dga_per_triple(space):
+    dga = DgaData.from_space(space)
+    triples = [(ring,) + t for ring in MEMO_RINGS
+               for t in _defined_triples(dga, ring)]
+    assert triples
+    shared = iter(_batch(dga, triples))
+    for triple in triples:
+        for shift in (0, 1):
+            fresh = _answers(DgaData.from_space(space),
+                             _frozen_in_subgroup_mod, *triple, shift)
+            assert next(shared) == fresh, (space.name, triple, shift)
+
+
+@pytest.mark.parametrize("space", _memo_spaces(), ids=lambda s: s.name)
+def test_batch_computes_each_answer_once_and_mutates_none(space, monkeypatch):
+    triples = [(ring,) + t for ring in MEMO_RINGS
+               for t in _defined_triples(DgaData.from_space(space), ring)]
+    dga = DgaData.from_space(space)
+    calls = {"cohomology": 0, "from_columns": 0}
+    asked = {"cohomology": set(), "subgroup": set()}
+    linalg_cohomology = massey_module.cohomology
+    from_columns = IntFactorization.from_columns
+    dga_cohomology = DgaData.cohomology
+    dga_subgroup = DgaData.subgroup
+
+    # linalg.cohomology factors columns of its own; those are not subgroups
+    inside_cohomology = []
+
+    def count_cohomology(*args):
+        calls["cohomology"] += 1
+        inside_cohomology.append(True)
+        try:
+            return linalg_cohomology(*args)
+        finally:
+            inside_cohomology.pop()
+
+    def count_from_columns(cls, columns, nrows):
+        if not inside_cohomology:
+            calls["from_columns"] += 1
+        return from_columns(columns, nrows)
+
+    def ask_cohomology(self, q, ring):
+        asked["cohomology"].add((q, ring))
+        return dga_cohomology(self, q, ring)
+
+    def ask_subgroup(self, q, generators):
+        asked["subgroup"].add((q, tuple(tuple(g) for g in generators)))
+        return dga_subgroup(self, q, generators)
+
+    monkeypatch.setattr(massey_module, "cohomology", count_cohomology)
+    monkeypatch.setattr(IntFactorization, "from_columns",
+                        classmethod(count_from_columns))
+    monkeypatch.setattr(DgaData, "cohomology", ask_cohomology)
+    monkeypatch.setattr(DgaData, "subgroup", ask_subgroup)
+
+    first = _batch(dga, triples)
+    assert 0 < calls["cohomology"] <= len(asked["cohomology"])
+    assert calls["from_columns"] <= len(asked["subgroup"])
+    counted = dict(calls)
+    held = {key: dga.cohomology(*key) for key in sorted(asked["cohomology"])}
+    before = _snapshot(held)
+    assert _batch(dga, triples) == first
+    assert calls == counted
+    for key, report in held.items():
+        assert dga.cohomology(*key) is report
+    assert _snapshot(held) == before
