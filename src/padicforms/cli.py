@@ -183,10 +183,14 @@ def run_massey(args, config):
     if not (2 if args.rectify else 3) <= len(degrees) <= 3:
         raise ConfigurationError("--degrees needs three degrees "
                                  "(two or three with --rectify)")
+    if min(degrees) < 0:
+        raise ConfigurationError("--degrees must be nonnegative")
     indices = None if args.classes == "zero" else \
         [int(x) for x in args.classes.split(",")]
     if indices is not None and len(indices) < len(degrees):
         raise ConfigurationError("--classes needs one index per degree")
+    if indices is not None and min(indices) < 0:
+        raise ConfigurationError("--classes indices must be nonnegative")
     if args.fixture:
         try:
             with open(args.fixture, encoding="utf-8") as fh:

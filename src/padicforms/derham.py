@@ -41,7 +41,6 @@ from padicforms.linalg import (
     mat_mul,
     mat_vec,
     p_local_cohomology,
-    p_local_kernel,
     p_local_solve,
 )
 
@@ -301,7 +300,8 @@ class SectionComplex:
 
     For each degree k, ``sections[k]`` is a list of ambient coordinate columns
     (one block per nondegenerate simplex of the space), forming a basis of the
-    compatible families over the local ring at p.
+    compatible families over the local ring at p: the kernel of the face
+    constraints, whose factorization ``_factors[k]`` also reads coordinates.
     """
 
     def __init__(self, space, levels, q_max):
@@ -312,12 +312,10 @@ class SectionComplex:
         self.cells = [(s, d) for d in range(space.dimension + 1)
                       for s in space.simplices[d]]
         self.offsets = {}
-        self.sections = {}
-        self._solvers = {}
         self._diffs = {}
         # one degree above q_max so the top cohomology sees its full kernel
-        for k in range(q_max + 2):
-            self.sections[k] = self._solve_degree(k)
+        self._factors = {k: self._solve_degree(k) for k in range(q_max + 2)}
+        self.sections = {k: fac.kernel() for k, fac in self._factors.items()}
 
     def cell_block(self, k):
         """Offsets of each cell's coordinate block in degree k."""
@@ -361,20 +359,11 @@ class SectionComplex:
                             if c:
                                 row[off_b + j] -= c
                     constraint_rows.append(row)
-        if not constraint_rows:
-            return identity_rows(total)
-        return p_local_kernel(constraint_rows, self.prime, total)
-
-    def _solver(self, k):
-        """The factorization of the degree-k section basis, made once."""
-        if k not in self._solvers:
-            self._solvers[k] = PLocalFactorization.from_columns(
-                self.sections.get(k, []), self.cell_block(k)[1], self.prime)
-        return self._solvers[k]
+        return PLocalFactorization(constraint_rows, self.prime, total)
 
     def express(self, k, ambient_vec):
         """Coordinates of an ambient vector in the degree-k section basis."""
-        sol = self._solver(k).solve(ambient_vec)
+        sol = self._factors[k].kernel_coordinates(ambient_vec)
         if sol is None:
             raise StructuralError("vector is not a section of the expected degree")
         return sol
@@ -542,92 +531,66 @@ def extendability_witness(weight, prime):
 
 class LevelModule:
     """A simplicial module extracted from the levels: degree-k forms, or the
-    degree-k cocycles, one free p-local module per level."""
+    degree-k cocycles, one free p-local module per level.  ``bases[n]`` is the
+    kernel of d at level n (of no map for the forms), as level lattice
+    columns, and ``factors[n]`` its factorization, which reads coordinates."""
 
     def __init__(self, levels, k, max_level, cocycles=False):
         self.levels = levels
         self.k = k
-        self.max_level = max_level
         self.prime = levels.prime
-        self.identity_basis = not cocycles
+        self.factors = {}
         self.bases = {}
         self._face_cache = {}
-        self._solvers = {}
         for n in range(max_level + 1):
-            if cocycles:
-                dmat = levels.diff_matrix(n, k)
-                self.bases[n] = p_local_kernel(dmat, self.prime,
-                                               levels.dims(n, k))
-            else:
-                self.bases[n] = identity_rows(levels.dims(n, k))
-        # columns of bases[n] live in the level lattice coordinates
+            dmat = levels.diff_matrix(n, k) if cocycles else []
+            self.factors[n] = PLocalFactorization(dmat, self.prime,
+                                                  levels.dims(n, k))
+            self.bases[n] = self.factors[n].kernel()
 
     def dim(self, n):
         return len(self.bases[n])
 
-    def _to_ambient(self, n, coords):
-        if self.identity_basis:
-            return list(coords)
-        return combine_columns(self.bases[n], coords, self.levels.dims(n, self.k))
-
-    def _from_ambient(self, n, vec):
-        if self.identity_basis:
-            return list(vec)
-        if n not in self._solvers:
-            self._solvers[n] = PLocalFactorization.from_columns(
-                self.bases[n], self.levels.dims(n, self.k), self.prime)
-        sol = self._solvers[n].solve(vec)
-        if sol is None:
-            raise StructuralError("image escaped the level submodule")
-        return sol
-
-    def face(self, n, i, coords):
-        amb = self._to_ambient(n, coords)
-        img = mat_vec(self.levels.face_matrix(n, i, self.k), amb)
-        return self._from_ambient(n - 1, img)
-
     def face_matrix(self, n, i):
         if (n, i) not in self._face_cache:
-            if self.identity_basis:
-                self._face_cache[(n, i)] = self.levels.face_matrix(n, i, self.k)
-            else:
-                cols = [self.face(n, i, e) for e in identity_rows(self.dim(n))]
-                self._face_cache[(n, i)] = columns_to_rows(cols, self.dim(n - 1))
+            face = self.levels.face_matrix(n, i, self.k)
+            cols = [self.factors[n - 1].kernel_coordinates(mat_vec(face, b))
+                    for b in self.bases[n]]
+            if None in cols:
+                raise StructuralError("image escaped the level submodule")
+            self._face_cache[(n, i)] = columns_to_rows(cols, self.dim(n - 1))
         return self._face_cache[(n, i)]
 
 
 def moore_complex(module, top_level):
     """Normalized (Moore) chains: N_m = intersection of ker d_i, i >= 1,
-    with differential d_0; returns per-level bases and differential matrices."""
-    bases = {0: identity_rows(module.dim(0))}
-    for m in range(1, top_level + 1):
+    with differential d_0.  Returns per-level factorizations of the stacked
+    d_1..d_m, whose kernels are the bases of N_m, and differential matrices."""
+    factors = {}
+    for m in range(top_level + 1):
         stacked = []
         for i in range(1, m + 1):
             stacked.extend(module.face_matrix(m, i))
-        if stacked:
-            bases[m] = p_local_kernel(stacked, module.prime, module.dim(m))
-        else:
-            bases[m] = identity_rows(module.dim(m))
+        factors[m] = PLocalFactorization(stacked, module.prime, module.dim(m))
+    bases = {m: fac.kernel() for m, fac in factors.items()}
     diffs = {}
     for m in range(1, top_level + 1):
         face0 = module.face_matrix(m, 0)
-        prev = PLocalFactorization.from_columns(
-            bases[m - 1], module.dim(m - 1), module.prime)
         cols = []
         for b in bases[m]:
-            sol = prev.solve(mat_vec(face0, b))
+            sol = factors[m - 1].kernel_coordinates(mat_vec(face0, b))
             if sol is None:
                 raise StructuralError("Moore differential escaped N")
             cols.append(sol)
         diffs[m] = columns_to_rows(cols, len(bases[m - 1]))
-    return bases, diffs
+    return factors, diffs
 
 
 def moore_homology(module, m, top_level):
-    bases, diffs = moore_complex(module, top_level)
-    d_in = diffs.get(m + 1, [[] for _ in bases[m]])
+    factors, diffs = moore_complex(module, top_level)
+    d_in = diffs.get(m + 1, [[] for _ in factors[m].kernel()])
     d_out = diffs.get(m, [])
-    return p_local_cohomology(d_in, d_out, module.prime), bases, diffs
+    return p_local_cohomology(d_in, d_out, module.prime), factors, diffs
 
 
 def homotopy_groups_check(k, weight, prime):
@@ -645,15 +608,14 @@ def homotopy_groups_check(k, weight, prime):
     report = {"k": k, "weight": weight, "prime": prime}
 
     module = LevelModule(levels, k, k + 1)
-    homology, bases, _ = moore_homology(module, k, k + 1)
+    homology, factors, _ = moore_homology(module, k, k + 1)
     report["pi_k_omega"] = homology.invariants()
     report["pi_k_omega_is_z_mod_p"] = homology.invariants() == (0, [prime])
     if k >= 1:
         gen = DividedMonomial((0,) * k, tuple(range(1, k + 1)))
         lv = levels.level(k)
         amb = lv.to_vector(OmegaElement.monomial(gen, (-1) ** k), k)
-        coords = PLocalFactorization.from_columns(
-            bases[k], levels.dims(k, k), prime).solve(amb)
+        coords = factors[k].kernel_coordinates(amb)
         report["stated_generator_in_moore"] = coords is not None
         if coords is not None:
             cls = homology.class_coordinates(coords)
@@ -668,7 +630,7 @@ def homotopy_groups_check(k, weight, prime):
             homology.class_coordinates([Fraction(0)] * len(coords))
 
     zmod = LevelModule(levels, k, k + 1, cocycles=True)
-    zh, zbases, _ = moore_homology(zmod, k, k + 1)
+    zh, _, _ = moore_homology(zmod, k, k + 1)
     report["pi_k_cocycles"] = zh.invariants()
     # the free part is the ladder's p^k Zhat_p; extra torsion (when present)
     # is the same truncated-lattice defect that breaks the degree-0 fills
@@ -706,7 +668,7 @@ def _connecting_valuation(levels, zmod, gen_coords, k):
     """
     prime = levels.prime
     # ambient vector of the generator inside level-k degree-k cocycles
-    vec = zmod._to_ambient(k, gen_coords)
+    vec = combine_columns(zmod.bases[k], gen_coords, levels.dims(k, k))
     level_idx = k
     for j in range(k, 0, -1):
         lv = levels.level(level_idx)

@@ -14,11 +14,12 @@ Smith form answers solves and kernels over Z and over Z/m alike: x = V*y
 solves A*x = 0 (mod m) iff m divides d_j*y_j for every j.  The one-shot
 functions solve_int, kernel_basis, p_local_solve and p_local_kernel wrap a
 fresh factorization; owners of a fixed matrix keep its factorization and reuse
-it.  Both Smith forms record the inverse of their left transform as they
-eliminate.  The local one is fraction-free: it eliminates integer rows with
-p-unit scales, keeps that integer form for its solves, and makes Fractions
-only for its results.  Cohomology over Z, Z/p^k and the local ring share one
-quotient routine; F_p has one reduced-echelon routine
+it; over the local ring the factorization that finds a kernel also reads
+coordinates in it.  Both Smith forms record the inverse of their left
+transform as they eliminate.  The local one is fraction-free: it eliminates
+integer rows with p-unit scales, keeps that integer form for its solves, and
+makes Fractions only for its results.  Cohomology over Z, Z/p^k and the local
+ring share one quotient routine; F_p has one reduced-echelon routine
 (``_gf_insert``/``_gf_reduce``) for kernels, images and class coordinates.
 
 The dense row helpers (mat_vec, mat_mul, combine_columns, identity_rows) live
@@ -208,11 +209,11 @@ class SmithForm(tuple):
 
     ``uinv[i]`` is column i of U^-1, recorded during the elimination: a row
     operation on U is a column operation on U^-1.  Readers check U*w = e_i
-    before they use a column.  ``local`` is the integer form that
-    PLocalFactorization.solve works on (set by p_local_snf).
+    before they use a column.  ``local``, ``free`` and ``acols`` are what
+    PLocalFactorization reads (set by p_local_snf).
     """
 
-    local = None
+    local = free = acols = None
 
     def __new__(cls, u, d, v, uinv):
         self = super().__new__(cls, (u, d, v))
@@ -564,19 +565,31 @@ def p_local_snf(rows, p):
     step adds one entry to the pivot's column.  ``local`` holds the integer
     rows of U, p^e_i per pivot, and V's pivot columns times the scales of U's
     rows over one common denominator.
+
+    ``acols`` holds A's nonzero entries by column, each row cleared of its
+    denominators.  ``free`` lists the free columns F, never chosen as pivots,
+    in the order of the kernel columns V[:, r:].  A column step only subtracts
+    a multiple of the pivot column, which is zero outside its own and earlier
+    pivots' original columns, from a later column; there are no gcd steps.  So
+    V is the identity on F.
     """
     n = len(rows)
     m = len(rows[0]) if rows else 0
     a, num, den = [], [1] * n, []  # row i of [A | U] is num[i]/den[i] * a[i]
+    acols = [[] for _ in range(m)]
     for i, r in enumerate(rows):
         if any(x.denominator % p == 0 for x in r):
             raise StructuralError("entry is not p-integral")
         scale = lcm(*(x.denominator for x in r))
-        a.append([x.numerator * (scale // x.denominator) for x in r] + [0] * n)
+        row = [x.numerator * (scale // x.denominator) for x in r]
+        for j in [j for j, x in enumerate(row) if x]:
+            acols[j].append((i, row[j]))
+        a.append(row + [0] * n)
         a[i][m + i] = scale
         den.append(scale)
     vcol = [[int(r == j) for r in range(m)] for j in range(m)]
     vden = [1] * m  # column j of V is vcol[j] / vden[j]
+    orig = list(range(m))  # the original column of column j of V
     perm = list(range(n))  # column i of U^-1 is e_perm[i] while i >= k
     uinv, pes = [], []  # uinv entries as (numerator, denominator) until the end
 
@@ -601,8 +614,8 @@ def p_local_snf(rows, p):
         if pj != k:
             for r in a[k:]:
                 r[k], r[pj] = r[pj], r[k]
-            vcol[k], vcol[pj] = vcol[pj], vcol[k]
-            vden[k], vden[pj] = vden[pj], vden[k]
+            for lst in (vcol, vden, orig):
+                lst[k], lst[pj] = lst[pj], lst[k]
         rk, pe = a[k], p ** best
         c = rk[k] // pe  # the pivot's unit part
         w_k = {perm[k]: (num[k] * c, den[k])}
@@ -654,16 +667,8 @@ def p_local_snf(rows, p):
     snf.local = ([r[m:] for r in a], pes,
                  [[(r, w * x) for r, x in enumerate(vcol[i]) if x]
                   for i, w in enumerate(weights)], common)
+    snf.free, snf.acols = orig[k:], acols
     return snf
-
-
-def p_local_rank_and_torsion(rows, p):
-    """(number of zero exponents, sorted positive exponents) of a p-local SNF."""
-    _, diag, _ = p_local_snf(rows, p)
-    exps = [valuation(d, p) for d in diag if d]
-    free = sum(1 for e in exps if e == 0)
-    tors = sorted(int(e) for e in exps if e > 0)
-    return free, tors
 
 
 class PLocalFactorization:
@@ -681,9 +686,15 @@ class PLocalFactorization:
         self.p = p
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else ncols
-        snf = p_local_snf(rows, p) if self.nrows and self.ncols \
-            else SmithForm([], [], [], [])
-        (self.u, self.diag, self.v), self.uinv, self.local = snf, snf.uinv, snf.local
+        if self.nrows and self.ncols:
+            snf = p_local_snf(rows, p)
+        else:  # no rows or no columns: V is the identity, all of it kernel
+            n = self.ncols
+            snf = SmithForm([], [], [[Fraction(int(r == j)) for j in range(n)]
+                                     for r in range(n)], [])
+            snf.free, snf.acols = list(range(n)), [[] for _ in range(n)]
+        (self.u, self.diag, self.v), self.uinv = snf, snf.uinv
+        self.local, self.free, self.acols = snf.local, snf.free, snf.acols
         self.rank = sum(1 for d in self.diag if d)
 
     @classmethod
@@ -703,11 +714,24 @@ class PLocalFactorization:
 
     def kernel(self):
         """Basis of the kernel over the local ring at p, as coordinate columns."""
-        n = self.ncols
-        if not self.nrows:
-            return [[Fraction(1) if t == j else Fraction(0) for t in range(n)]
-                    for j in range(n)]
-        return [[self.v[r][j] for r in range(n)] for j in range(self.rank, n)]
+        return [[row[j] for row in self.v] for j in range(self.rank, self.ncols)]
+
+    def kernel_coordinates(self, x):
+        """Coordinates of x in the basis ``kernel()``, or None if x is not in
+        its span.  That basis is the identity on the free columns, so x is in
+        its span iff A*x = 0 and x is p-integral on them, and then x on them
+        is the answer."""
+        tden = lcm(*(t.denominator for t in x if t))
+        ax = [0] * self.nrows  # A*x, times tden and each row's denominator
+        for j, t in enumerate(x):
+            if t:
+                t = t.numerator * (tden // t.denominator)
+                for i, a in self.acols[j]:
+                    ax[i] += a * t
+        if any(ax):
+            return None
+        coords = [x[j] for j in self.free]
+        return None if any(c.denominator % self.p == 0 for c in coords) else coords
 
     def solve(self, target):
         """One solution of A*x = target over the local ring at p, or None.
@@ -851,8 +875,8 @@ class AbelianGroupReport:
     prime_to_p_torsion.  generators are vectors in the ambient cochain basis:
     first the torsion generators (matching ``torsion`` order), then the free
     ones.  The private fields carry the quotient presentation used to answer
-    membership questions: the factorization of the kernel columns, U' of the
-    relations' Smith form, and its full diagonal (prime-to-p part included).
+    membership questions: the kernel's reader (``kernel_coordinates``), U' of
+    the relations' Smith form, and its full diagonal (prime-to-p included).
     """
 
     free_rank: int
@@ -901,10 +925,16 @@ class AbelianGroupReport:
         if self._kernel is None:
             sol = None if any(vector) else []
         else:
-            sol = self._kernel.solve(vector)
+            sol = self._kernel.kernel_coordinates(vector)
         if sol is None:
             raise StructuralError("vector is not a cocycle")
         return sol
+
+
+class _KernelBasis(IntFactorization):
+    """The Smith form of a kernel basis over Z or Z/m, read by solving in it."""
+
+    kernel_coordinates = IntFactorization.solve
 
 
 def _residue_mod(z, d):
@@ -916,36 +946,35 @@ def _residue_mod(z, d):
     return (z.numerator * inv) % d
 
 
-def _quotient(kernel, relations, factor):
+def _quotient(kfac, kernel, relations, factor):
     """span(kernel) / span(relations), for ambient columns over one engine.
 
-    kernel is a nonempty list of independent columns, relations a list of
-    columns inside their span; factor(columns, nrows) factors a column list in
-    the engine of the ring.  The relations are rewritten in kernel coordinates
-    (raising if one leaves the kernel) and brought to Smith form
-    U' * Y * V' = D'.  Returns the kernel factorization, U' as rows, the
-    diagonal of D' padded with zeros to one entry per kernel column, and the
-    generator K * (column i of U'^-1) for every diagonal entry other than 1;
-    the columns of U'^-1 are the ones the Smith form recorded.
+    kernel is a nonempty list of independent columns, kfac its reader (its
+    ``kernel_coordinates``), relations a list of columns inside their span;
+    factor(columns, nrows) factors a column list in the engine of the ring.
+    The relations are rewritten in kernel coordinates (raising if one leaves
+    the kernel) and brought to Smith form U' * Y * V' = D'.  Returns U' as
+    rows, the diagonal of D' padded with zeros to one entry per kernel column,
+    and the generator K * (column i of U'^-1) for every diagonal entry other
+    than 1; the columns of U'^-1 are the ones the Smith form recorded.
     """
     s, ambient = len(kernel), len(kernel[0])
-    kfac = factor(kernel, ambient)
     coords = []
     for col in relations:
-        sol = kfac.solve(col)
+        sol = kfac.kernel_coordinates(col)
         if sol is None:
             raise StructuralError("image does not land in the kernel")
         coords.append(sol)
     if not coords:
         gens = {i: list(kernel[i]) for i in range(s)}
-        return kfac, identity_rows(s), [0] * s, gens
+        return identity_rows(s), [0] * s, gens
     rfac = factor(coords, s)
     orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
     gens = {}
     for i, d in enumerate(orders):
         if d != 1:
             gens[i] = combine_columns(kernel, rfac.inverse_column(i), ambient)
-    return kfac, rfac.left_rows(), orders, gens
+    return rfac.left_rows(), orders, gens
 
 
 def cohomology(d_prev, d_cur, ring, p):
@@ -976,8 +1005,9 @@ def cohomology(d_prev, d_cur, ring, p):
         raise ValueError(f"unknown ring tag {ring!r}")
     if not kernel:
         return AbelianGroupReport(0, [], [])
-    kfac, uprime, orders, gens = _quotient(kernel, relations,
-                                           IntFactorization.from_columns)
+    kfac = _KernelBasis(SparseIntMatrix.from_columns(kernel, ambient))
+    uprime, orders, gens = _quotient(kfac, kernel, relations,
+                                     IntFactorization.from_columns)
     torsion, prime_to_p, tors_gens, free_gens = [], [], [], []
     for i, d in enumerate(orders):
         if d == 0:
@@ -1012,19 +1042,20 @@ def p_local_cohomology(d_prev, d_cur, p):
     ncols = len(d_cur[0]) if d_cur else (len(d_prev) if d_prev else 0)
     if d_prev and d_cur and d_prev[0] and len(d_prev) != ncols:
         raise StructuralError("differentials do not compose")
-    kernel = p_local_kernel(d_cur, p, ncols)
+    dfac = PLocalFactorization(d_cur, p, ncols)
+    kernel = dfac.kernel()
     if not kernel:
         return AbelianGroupReport(0, [], [])
     relations = [list(col) for col in zip(*d_prev) if any(col)]
-    kfac, uprime, diag, gens = _quotient(
-        kernel, relations,
+    uprime, diag, gens = _quotient(
+        dfac, kernel, relations,
         lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p))
     orders = [p ** int(valuation(d, p)) if d else 0 for d in diag]
     torsion = [d for d in orders if d > 1]
     generators = [gens[i] for i, d in enumerate(orders) if d > 1] + \
         [gens[i] for i, d in enumerate(orders) if d == 0]
     return AbelianGroupReport(orders.count(0), sorted(torsion), generators,
-                              _kernel=kfac, _uprime=uprime, _orders=orders)
+                              _kernel=dfac, _uprime=uprime, _orders=orders)
 
 
 def _cohomology_gf(d_prev, d_cur, p):

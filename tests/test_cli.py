@@ -108,6 +108,23 @@ def test_massey_too_few_class_indices_is_configuration_error(capsys):
         "configuration error: --classes needs one index per degree\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--coefficients", "zmod", "--classes", "0,-2,0"],
+     "--classes indices must be nonnegative"),
+    (["--classes=-1,0,0"], "--classes indices must be nonnegative"),
+    (["--degrees=-1,1,1", "--classes", "zero"], "--degrees must be nonnegative"),
+], ids=["negative-index-past-the-end", "negative-index-wraps", "negative-degree"])
+def test_massey_negative_index_or_degree_is_configuration_error(argv, message,
+                                                               capsys):
+    degrees = [] if any(a.startswith("--degrees") for a in argv) else \
+        ["--degrees", "1,1,1"]
+    code = main(["massey", "--space", "rp2"] + degrees + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 def test_missing_fixture_file_is_configuration_error(tmp_path, capsys):
     missing = tmp_path / "nonexistent"
     code = main(["massey", "--fixture", str(missing), "--degrees", "1,1,1"])

@@ -7,6 +7,7 @@ from padicforms.arith import valuation
 from padicforms.divided import (
     DividedMonomial,
     OmegaElement,
+    TruncationError,
     gamma_power,
     one_monomial,
     p_minus_sum,
@@ -30,6 +31,12 @@ from padicforms.derham import (
     omega_face,
     omega_of_space,
     rational_poincare_dims,
+)
+from padicforms.linalg import (
+    PLocalFactorization,
+    combine_columns,
+    identity_rows,
+    p_local_kernel,
 )
 from padicforms.simplicial import boundary_delta, delta, rp2, sphere
 
@@ -495,3 +502,147 @@ def test_face_and_degeneracy_builder_match_frozen_copies():
                             assert levels.degen_matrix(n, i, k) == \
                                 _frozen_structure_matrix(
                                     levels, n, i, k, n + 1, omega_degeneracy)
+
+
+# -- frozen copy of the express-by-refactoring path ---------------------------------
+
+def _frozen_quotient(kernel, relations, factor):
+    """The quotient routine that factors the kernel basis a second time, kept
+    here as the reference for the one that reads through the factorization
+    of d."""
+    s, ambient = len(kernel), len(kernel[0])
+    kfac = factor(kernel, ambient)
+    coords = []
+    for col in relations:
+        sol = kfac.solve(col)
+        assert sol is not None, "image does not land in the kernel"
+        coords.append(sol)
+    if not coords:
+        gens = {i: list(kernel[i]) for i in range(s)}
+        return kfac, identity_rows(s), [0] * s, gens
+    rfac = factor(coords, s)
+    orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
+    gens = {}
+    for i, d in enumerate(orders):
+        if d != 1:
+            gens[i] = combine_columns(kernel, rfac.inverse_column(i), ambient)
+    return kfac, rfac.left_rows(), orders, gens
+
+
+def _frozen_p_local_cohomology(d_prev, d_cur, p):
+    """(invariants, generators, class-coordinate function) of ker/im."""
+    ncols = len(d_cur[0]) if d_cur else (len(d_prev) if d_prev else 0)
+    kernel = p_local_kernel(d_cur, p, ncols)
+    if not kernel:
+        return (0, []), [], lambda vector: []
+    relations = [list(col) for col in zip(*d_prev) if any(col)]
+    kfac, uprime, diag, gens = _frozen_quotient(
+        kernel, relations,
+        lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p))
+    orders = [p ** int(valuation(d, p)) if d else 0 for d in diag]
+    generators = [gens[i] for i, d in enumerate(orders) if d > 1] + \
+        [gens[i] for i, d in enumerate(orders) if d == 0]
+
+    def class_coordinates(vector):
+        y = kfac.solve(vector)
+        assert y is not None, "vector is not a cocycle"
+        z = [Fraction(t) for t in mat_vec(uprime, y)]
+        return [t.numerator * pow(t.denominator, -1, d) % d if d > 1 else t
+                for t, d in zip(z, orders) if d != 1]
+
+    invariants = (orders.count(0), sorted(d for d in orders if d > 1))
+    return invariants, generators, class_coordinates
+
+
+class _FrozenExpress:
+    """Section coordinates, differentials and products of a SectionComplex,
+    each section basis factored a second time to solve in it."""
+
+    def __init__(self, cx):
+        self.cx = cx
+        self.solvers = {k: PLocalFactorization.from_columns(
+            cx.sections[k], cx.cell_block(k)[1], cx.prime) for k in cx.sections}
+
+    def express(self, k, ambient_vec):
+        sol = self.solvers[k].solve(ambient_vec)
+        assert sol is not None, "vector is not a section of the expected degree"
+        return sol
+
+    def diff_in_sections(self, k):
+        cx = self.cx
+        offs, _ = cx.cell_block(k)
+        dmats = {d: cx.levels.diff_matrix(d, k) for d in {d for _, d in cx.cells}}
+        cols = []
+        for sec in cx.sections[k]:
+            out = []
+            for name, d in cx.cells:
+                off, width = offs[name]
+                out.extend(mat_vec(dmats[d], sec[off:off + width]))
+            cols.append(self.express(k + 1, out))
+        return [[col[r] for col in cols] for r in range(len(cx.sections[k + 1]))]
+
+    def multiply_sections(self, k1, v1, k2, v2):
+        cx = self.cx
+        (offs1, total1), (offs2, total2) = cx.cell_block(k1), cx.cell_block(k2)
+        offs_out, total_out = cx.cell_block(k1 + k2)
+        amb1 = combine_columns(cx.sections[k1], v1, total1)
+        amb2 = combine_columns(cx.sections[k2], v2, total2)
+        out = [Fraction(0)] * total_out
+        for name, d in cx.cells:
+            (o1, w1), (o2, w2), (oo, wo) = offs1[name], offs2[name], offs_out[name]
+            out[oo:oo + wo] = cx.levels.multiply(
+                d, k1, amb1[o1:o1 + w1], k2, amb2[o2:o2 + w2])
+        return self.express(k1 + k2, out)
+
+
+def _products(cx, q_max, generators, class_coordinates):
+    """Class coordinates of every product of generator classes, as the CLI
+    table has them (None where the product leaves the truncation)."""
+    table = {}
+    for q1, q2 in itertools.product(range(q_max + 1), repeat=2):
+        if q1 + q2 > q_max:
+            continue
+        for (i1, g1), (i2, g2) in itertools.product(
+                enumerate(generators[q1]), enumerate(generators[q2])):
+            try:
+                prod = cx.multiply_sections(q1, g1, q2, g2)
+            except TruncationError:
+                table[(q1, i1, q2, i2)] = None
+                continue
+            table[(q1, i1, q2, i2)] = class_coordinates[q1 + q2](prod)
+    return table
+
+
+def _frozen_sections_cases():
+    from padicforms.decalage import VLevels, tensor_cochain_algebra
+    from padicforms.massey import random_space
+    for seed, p in itertools.product(range(8), (2, 3)):
+        space = random_space(seed, 3, 5, 3)
+        q_max = min(3, space.dimension)
+        yield space, OmegaLevels(3, p, space.dimension), q_max
+        yield space, tensor_cochain_algebra(
+            VLevels(p, space.dimension + 1, q_max),
+            OmegaLevels(2, p, space.dimension), q_max), q_max
+
+
+def test_section_complex_matches_frozen_refactoring_copy():
+    for space, levels, q_max in _frozen_sections_cases():
+        case = (space.name, type(levels).__name__, levels.prime)
+        cx = SectionComplex(space, levels, q_max)
+        frozen = _FrozenExpress(cx)
+        diffs = {k: frozen.diff_in_sections(k) for k in range(q_max + 1)}
+        diffs[-1] = [[] for _ in cx.sections[0]]
+        for k in range(q_max + 1):
+            assert cx.diff_in_sections(k) == diffs[k], (case, k)
+        live, old = {}, {}
+        for q in range(q_max + 1):
+            report = cx.cohomology(q)
+            live[q] = report
+            old[q] = _frozen_p_local_cohomology(diffs[q - 1], diffs[q], cx.prime)
+            assert report.invariants() == old[q][0], (case, q)
+            assert report.generators == old[q][1], (case, q)
+        live_table = _products(cx, q_max, {q: r.generators for q, r in live.items()},
+                               {q: r.class_coordinates for q, r in live.items()})
+        old_table = _products(frozen, q_max, {q: o[1] for q, o in old.items()},
+                              {q: o[2] for q, o in old.items()})
+        assert live_table == old_table, case

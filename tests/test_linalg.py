@@ -25,7 +25,6 @@ from padicforms.linalg import (
     lattice_membership,
     p_local_cohomology,
     p_local_kernel,
-    p_local_rank_and_torsion,
     p_local_snf,
     p_local_solve,
     smith_normal_form,
@@ -174,8 +173,10 @@ def test_p_local_rank_matches_integer_snf():
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
         for p in (2, 3):
-            free, tors = p_local_rank_and_torsion(
-                [[Fraction(x) for x in row] for row in a], p)
+            _, pdiag, _ = p_local_snf([[Fraction(x) for x in row] for row in a], p)
+            pexps = [valuation(d, p) for d in pdiag if d]
+            free = sum(1 for e in pexps if e == 0)
+            tors = sorted(int(e) for e in pexps if e > 0)
             _, D, _ = smith_normal_form(M(a))
             diag = [D[(i, i)] for i in range(min(n, m)) if D[(i, i)]]
             from padicforms.arith import int_valuation
@@ -402,6 +403,40 @@ def test_held_int_factorization_matches_one_shot(rows, data):
                 assert all(0 <= x < modulus for x in held)
                 assert all((a - b) % modulus == 0
                            for a, b in zip(mat.mul_vector(held), target))
+
+
+@ORACLE
+@given(st.integers(0, 4), st.integers(1, 4), st.sampled_from([2, 3, 5]), st.data())
+def test_kernel_coordinates_read_off_the_free_columns(nrows, ncols, p, data):
+    # p-integral entries, some with p-unit denominators; nrows = 0 is the map
+    # into the zero module, whose kernel is everything
+    unit = p + 1
+    rows = [[Fraction(x, data.draw(st.sampled_from([1, unit]))) for x in row]
+            for row in data.draw(st.lists(int_vectors(ncols, 3),
+                                          min_size=nrows, max_size=nrows))]
+    fac = PLocalFactorization(rows, p, ncols)
+    kernel = fac.kernel()
+
+    def applied(x):
+        return [sum(r[j] * x[j] for j in range(ncols)) for r in rows]
+
+    def reference(x):
+        # the solve through a second factorization, of the kernel basis itself
+        return PLocalFactorization.from_columns(kernel, ncols, p).solve(x)
+
+    c = [Fraction(t, unit) for t in data.draw(int_vectors(len(kernel)))]
+    x = [sum(ci * col[r] for ci, col in zip(c, kernel)) for r in range(ncols)]
+    assert fac.kernel_coordinates(x) == c == reference(x)
+    for _ in range(3):
+        x = [Fraction(t, data.draw(st.sampled_from([1, unit, p])))
+             for t in data.draw(int_vectors(ncols))]
+        held = fac.kernel_coordinates(x)
+        assert held == reference(x)
+        if any(applied(x)):
+            assert held is None
+    for col in kernel:
+        assert fac.kernel_coordinates([t / p for t in col]) is None
+        assert reference([t / p for t in col]) is None
 
 
 @ORACLE
