@@ -10,17 +10,18 @@ Identical manifests produce byte-identical output.
 """
 
 import argparse
+import functools
 import sys
 
 from padicforms.arith import ConfigurationError, SessionConfig
 from padicforms.decalage import VLevels, build_D, tensor_cochain_algebra
 from padicforms.derham import (
-    OmegaLevels,
     apl_mod_p,
     build_omega,
     extendability_witness,
     homotopy_groups_check,
     omega_cohomology,
+    omega_levels,
     rational_poincare_dims,
     stable_cohomology,
 )
@@ -66,7 +67,9 @@ def _add_common(parser, suppress):
     parser.add_argument("--out", default=get("out"))
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process; parsing leaves it as is."""
     # the per-subcommand copies use SUPPRESS so they never clobber values
     # parsed before the subcommand word
     common = argparse.ArgumentParser(add_help=False)
@@ -168,7 +171,7 @@ def run_cohomology(args, config):
         v = VLevels(config.prime, space.dimension + 1, q_max)
         _, reports, stable = stable_cohomology(
             space, lambda w: tensor_cochain_algebra(
-                v, OmegaLevels(w, config.prime, space.dimension), q_max),
+                v, omega_levels(w, config.prime), q_max),
             config.weight, q_max)
         payload = cohomology_report(manifest, reports, stable=stable)
         return payload, 0 if all(stable.values()) else 3

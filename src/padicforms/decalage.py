@@ -293,6 +293,7 @@ class TensorLevels:
             raise ValueError("level families live at different primes")
         self.prime = first.prime
         self._basis = {}
+        self._maps = {}
 
     def basis(self, n, k):
         if (n, k) not in self._basis:
@@ -326,35 +327,35 @@ class TensorLevels:
                     rows[index[(i, a, r)]][col] += sign * db[r][b]
         return rows
 
-    def _pointwise(self, n, k, first_mat, second_mat, target_key):
+    def _pointwise(self, first, second, n, i, k, target_n):
+        """The tensor of the two families' maps (n, i, d) -> target_n; cached."""
+        key = (n, i, k, target_n)
+        if key in self._maps:
+            return self._maps[key]
         src = self.basis(n, k)
-        tgt = self.basis(target_key, k)
+        tgt = self.basis(target_n, k)
         index = {t: pos for pos, t in enumerate(tgt)}
         rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-        mats = {i: (first_mat(i), second_mat(k - i)) for i in {t[0] for t in src}}
-        for col, (i, a, b) in enumerate(src):
-            fm, sm = mats[i]
+        mats = {d: (first(n, i, d), second(n, i, k - d))
+                for d in {t[0] for t in src}}
+        for col, (d, a, b) in enumerate(src):
+            fm, sm = mats[d]
             for r1 in range(len(fm)):
                 if not fm[r1][a]:
                     continue
                 for r2 in range(len(sm)):
                     if sm[r2][b]:
-                        rows[index[(i, r1, r2)]][col] += fm[r1][a] * sm[r2][b]
+                        rows[index[(d, r1, r2)]][col] += fm[r1][a] * sm[r2][b]
+        self._maps[key] = rows
         return rows
 
     def face_matrix(self, n, i, k):
-        return self._pointwise(
-            n, k,
-            lambda d: self.first.face_matrix(n, i, d),
-            lambda d: self.second.face_matrix(n, i, d),
-            n - 1)
+        return self._pointwise(self.first.face_matrix, self.second.face_matrix,
+                               n, i, k, n - 1)
 
     def degen_matrix(self, n, i, k):
-        return self._pointwise(
-            n, k,
-            lambda d: self.first.degen_matrix(n, i, d),
-            lambda d: self.second.degen_matrix(n, i, d),
-            n + 1)
+        return self._pointwise(self.first.degen_matrix,
+                               self.second.degen_matrix, n, i, k, n + 1)
 
     def multiply(self, n, k1, v1, k2, v2):
         src1 = self.basis(n, k1)

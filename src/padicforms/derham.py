@@ -12,6 +12,7 @@ matched through level degeneracy operators.  Everything is solved exactly
 over the local ring at p.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -71,7 +72,6 @@ class OmegaLevel:
             self.basis[k] = mons
             for pos, m in enumerate(mons):
                 self.index[m] = pos
-        self.closure_generators = self._closure_generators()
         self._verify_closure()
 
     def dims(self, k):
@@ -132,6 +132,11 @@ class OmegaLevel:
                             gens.append(mono.multiply(closure))
         return gens
 
+    @property
+    def closure_generators(self):
+        """Rebuilt on each use; a level does not keep them."""
+        return self._closure_generators()
+
     def _verify_closure(self):
         """Closure generators must expand p-integrally in divided monomials.
 
@@ -140,7 +145,7 @@ class OmegaLevel:
         the present check, the other holds because the variable powers are
         themselves closure generators.
         """
-        for g in self.closure_generators:
+        for g in self._closure_generators():
             val = g.min_valuation(self.prime)
             if val is not None and val < 0:
                 raise StructuralError(
@@ -151,17 +156,13 @@ class OmegaLevel:
 
         Returned per (p, n, weight) as data: the monomial span contains every
         closure generator iff all coordinates are p-integral; the reverse
-        containment is structural.
+        containment is structural.  A level is only built once the check
+        has passed, so the least valuation met is 0.
         """
-        worst = 0
-        for g in self.closure_generators:
-            val = g.min_valuation(self.prime)
-            if val is not None:
-                worst = min(worst, val)
         return {
             "prime": self.prime, "level": self.n, "weight": self.weight,
-            "closure_equals_naive_span": worst >= 0,
-            "minimal_generator_valuation": int(worst),
+            "closure_equals_naive_span": True,
+            "minimal_generator_valuation": 0,
         }
 
 
@@ -175,14 +176,20 @@ def _bounded_exponents(n, budget):
 
 
 class OmegaLevels:
-    """Simplicial family of weight-truncated form lattices, with caching."""
+    """Simplicial family of weight-truncated form lattices, with caching.
 
-    def __init__(self, weight, prime, max_level):
+    Levels and their face, degeneracy and d matrices are built on first use
+    and kept; max_level is not needed for that and is ignored.  Callers
+    share the matrices handed out (see ``omega_levels``) and must not
+    mutate them.
+    """
+
+    def __init__(self, weight, prime, max_level=None):
         self.weight = weight
         self.prime = prime
-        self.max_level = max_level
         self._levels = {}
         self._maps = {}
+        self._diffs = {}
 
     def level(self, n):
         if n not in self._levels:
@@ -193,7 +200,9 @@ class OmegaLevels:
         return self.level(n).dims(k)
 
     def diff_matrix(self, n, k):
-        return self.level(n).diff_matrix(k)
+        if (n, k) not in self._diffs:
+            self._diffs[(n, k)] = self.level(n).diff_matrix(k)
+        return self._diffs[(n, k)]
 
     def multiply(self, n, k1, v1, k2, v2):
         lv = self.level(n)
@@ -273,11 +282,18 @@ class OmegaLevels:
         return vec
 
 
+@functools.lru_cache(maxsize=16)
+def omega_levels(weight, prime):
+    """The process-wide level family at (weight, prime), built lazily; the
+    least recently used of more than 16 families is dropped."""
+    return OmegaLevels(weight, prime)
+
+
 def build_omega(n, weight, prime):
     """The level-n lattice; desk-scale bounds n <= 3, weight <= 8."""
     if n > 3 or weight > 8:
         raise ValueError("desk-scale bounds are n <= 3, weight <= 8")
-    return OmegaLevel(n, weight, prime)
+    return omega_levels(weight, prime).level(n)
 
 
 def omega_face(levels, n, i, element):
@@ -413,8 +429,7 @@ class SectionComplex:
 
 def omega_of_space(space, weight, q_max, prime):
     """Compatible form families on a library space, at truncation."""
-    levels = OmegaLevels(weight, prime, space.dimension)
-    return SectionComplex(space, levels, q_max)
+    return SectionComplex(space, omega_levels(weight, prime), q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +463,7 @@ def omega_cohomology(space, weight, q_max, prime):
     if weight < 2:
         raise ValueError("stability needs weight >= 2")
     big, reports, stable = stable_cohomology(
-        space, lambda w: OmegaLevels(w, prime, space.dimension), weight, q_max)
+        space, lambda w: omega_levels(w, prime), weight, q_max)
     products = {}
     for q1 in range(q_max + 1):
         for q2 in range(q_max + 1 - q1):
@@ -507,7 +522,7 @@ def extendability_witness(weight, prime):
     x_1 = p; no p-integral combination hits (1, p), while the constant p
     (the control target (p, p)) trivially extends.
     """
-    level = OmegaLevel(1, weight, prime)
+    level = omega_levels(weight, prime).level(1)
     gens = []
     for mon in level.basis[0]:
         elem = OmegaElement.monomial(mon)
@@ -604,7 +619,7 @@ def homotopy_groups_check(k, weight, prime):
     """
     if k > 2:
         raise ValueError("ladder checks are desk-scale: k <= 2")
-    levels = OmegaLevels(weight, prime, k + 1)
+    levels = omega_levels(weight, prime)
     report = {"k": k, "weight": weight, "prime": prime}
 
     module = LevelModule(levels, k, k + 1)

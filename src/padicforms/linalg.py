@@ -175,31 +175,6 @@ def combine_columns(cols, coords, length):
     return out
 
 
-def det_bareiss(rows):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -742,7 +717,7 @@ class PLocalFactorization:
         p-part divides the integer dot product with row i of U.
         """
         if not self.nrows or not self.ncols:
-            return [] if not any(target) else None
+            return [Fraction(0)] * self.ncols if not any(target) else None
         urows, pes, vcols, common = self.local
         tden = lcm(*(t.denominator for t in target))
         support = [(j, t.numerator * (tden // t.denominator))

@@ -568,20 +568,19 @@ def random_space(seed, n_vertices=3, n_edges=4, n_triangles=2):
     vertices = [f"p{i}" for i in range(n_vertices)]
     faces = {}
     edges = []
+    by_ends = {}   # (head, tail) -> its edges, in creation order
 
     def get_edge(head, tail):
-        matching = [e for e, (h, t) in edges_ends.items()
-                    if h == head and t == tail]
+        matching = by_ends.setdefault((head, tail), [])
         if matching and rng.random() < 0.7:
             return rng.choice(matching)
         name = f"e{len(edges)}"
         edges.append(name)
-        edges_ends[name] = (head, tail)
+        matching.append(name)
         faces[(name, 0)] = DegenerateImage((), head)
         faces[(name, 1)] = DegenerateImage((), tail)
         return name
 
-    edges_ends = {}
     for _ in range(n_edges):
         get_edge(rng.choice(vertices), rng.choice(vertices))
     triangles = []

@@ -29,8 +29,10 @@ from padicforms.derham import (
     omega_cohomology,
     omega_degeneracy,
     omega_face,
+    omega_levels,
     omega_of_space,
     rational_poincare_dims,
+    stable_cohomology,
 )
 from padicforms.linalg import (
     PLocalFactorization,
@@ -193,6 +195,27 @@ def test_face_zero_introduces_p_minus_sum():
     assert img == OmegaElement(0, {one_monomial(0): Fraction(2)})
     img1 = omega_face(levels, 1, 1, x1)
     assert img1.is_zero()
+
+
+def test_level_family_memo_stays_bounded():
+    """More (weight, prime) keys than the memo holds, then the first keys
+    again once they were dropped: the answers are those of fresh families,
+    and the memo never holds more families than its bound."""
+    bound = omega_levels.cache_info().maxsize
+    keys = [(w, p) for p in (2, 3, 5, 7) for w in (2, 3, 4, 5, 6)]
+    assert len(keys) > bound
+    omega_levels.cache_clear()
+    space = sphere(1)
+    for w, p in keys + keys[:3]:
+        got = omega_cohomology(space, w, 1, p)
+        _, reports, stable = stable_cohomology(
+            space, lambda v: OmegaLevels(v, p), w, 1)
+        assert {q: r.invariants() for q, r in got["reports"].items()} == \
+            {q: r.invariants() for q, r in reports.items()} == \
+            {0: (1, []), 1: (1, [])}, (w, p)
+        assert got["stable"] == stable, (w, p)
+        assert omega_levels.cache_info().currsize <= bound
+    assert omega_levels.cache_info().currsize == bound
 
 
 # -- sections over spaces ------------------------------------------------------

@@ -19,7 +19,6 @@ from padicforms.linalg import (
     gf_kernel,
     cohomology,
     complete_basis,
-    det_bareiss,
     hnf_rows,
     kernel_basis,
     lattice_membership,
@@ -41,6 +40,31 @@ from padicforms.simplicial import (
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def det_bareiss(rows):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def M(rows):
@@ -165,6 +189,17 @@ def test_p_local_snf_diag_powers():
     assert exps == sorted(exps)
     # unit pivot exists because 1/3 is a 2-adic unit
     assert exps[0] == 0
+
+
+def test_p_local_solve_without_rows_or_columns():
+    """A map into the zero module: every vector solves it, so the solution
+    is the zero vector of the source's length; a map out of it has [] only
+    for the zero target."""
+    assert PLocalFactorization([], 2, 3).solve([]) == [Fraction(0)] * 3
+    assert PLocalFactorization([], 3, 0).solve([]) == []
+    no_cols = PLocalFactorization([[], []], 2, 0)
+    assert no_cols.solve([Fraction(0), Fraction(0)]) == []
+    assert no_cols.solve([Fraction(0), Fraction(1)]) is None
 
 
 def test_p_local_rank_matches_integer_snf():

@@ -23,7 +23,7 @@ from padicforms.massey import (
     rectification_obstruction,
     triple_massey,
 )
-from padicforms.simplicial import rp2, sphere
+from padicforms.simplicial import DegenerateImage, SimplicialSet, rp2, sphere
 
 
 def test_fixture_is_coherent():
@@ -162,6 +162,55 @@ def test_random_spaces_are_valid_and_varied():
         space = random_space(seed)
         shapes.add(tuple(len(l) for l in space.simplices))
     assert len(shapes) > 3
+
+
+def _frozen_random_space(seed, n_vertices=3, n_edges=4, n_triangles=2):
+    """random_space as it was before its edges were indexed by their ends:
+    get_edge scans every edge for the matching ones."""
+    rng = random.Random(seed)
+    vertices = [f"p{i}" for i in range(n_vertices)]
+    faces = {}
+    edges = []
+
+    def get_edge(head, tail):
+        matching = [e for e, (h, t) in edges_ends.items()
+                    if h == head and t == tail]
+        if matching and rng.random() < 0.7:
+            return rng.choice(matching)
+        name = f"e{len(edges)}"
+        edges.append(name)
+        edges_ends[name] = (head, tail)
+        faces[(name, 0)] = DegenerateImage((), head)
+        faces[(name, 1)] = DegenerateImage((), tail)
+        return name
+
+    edges_ends = {}
+    for _ in range(n_edges):
+        get_edge(rng.choice(vertices), rng.choice(vertices))
+    triangles = []
+    for t in range(n_triangles):
+        v0, v1, v2 = (rng.choice(vertices) for _ in range(3))
+        e0 = get_edge(v2, v1)
+        e1 = get_edge(v2, v0)
+        e2 = get_edge(v1, v0)
+        name = f"T{t}"
+        triangles.append(name)
+        faces[(name, 0)] = DegenerateImage((), e0)
+        faces[(name, 1)] = DegenerateImage((), e1)
+        faces[(name, 2)] = DegenerateImage((), e2)
+    return SimplicialSet(f"random{seed}", [vertices, edges, triangles], faces)
+
+
+@pytest.mark.parametrize("size", [(3, 4, 2), (2, 2, 1), (3, 5, 3), (4, 6, 4),
+                                  (5, 11, 8), (7, 20, 15), (1, 3, 4)])
+def test_random_space_matches_frozen_copy(size):
+    """Same seed, same draws: the dumps are byte-identical, seeds as large as
+    the benchmark's included."""
+    rng = random.Random(f"frozen/{size}")
+    seeds = list(range(40)) + [rng.randrange(2 ** 31) for _ in range(40)]
+    for seed in seeds:
+        assert random_space(seed, *size).dump() == \
+            _frozen_random_space(seed, *size).dump(), (seed, size)
 
 
 def test_massey_identity_on_random_spaces():
