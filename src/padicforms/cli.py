@@ -170,9 +170,8 @@ def run_cohomology(args, config):
     if args.model == "v_tensor_omega":
         v = VLevels(config.prime, space.dimension + 1, q_max)
         _, reports, stable = stable_cohomology(
-            space, lambda w: tensor_cochain_algebra(
-                v, omega_levels(w, config.prime), q_max),
-            config.weight, q_max)
+            space, tensor_cochain_algebra(
+                v, omega_levels(config.weight, config.prime), q_max), q_max)
         payload = cohomology_report(manifest, reports, stable=stable)
         return payload, 0 if all(stable.values()) else 3
     raise ConfigurationError(f"unknown model {args.model}")

@@ -19,9 +19,10 @@ from padicforms.linalg import (
     SparseIntMatrix,
     StructuralError,
     cohomology,
-    columns_to_rows,
     combine_columns,
     complete_basis,
+    denominator_rows,
+    fraction_rows,
     hnf_rows,
     identity_rows,
     kernel_basis,
@@ -205,7 +206,8 @@ class VLevels:
 
     Component (n, k) is the degree-k part of the 0/1-shifted lattice inside
     C^k(delta^n); faces and degeneracies are induced by the cosimplicial
-    structure of the simplices and stay lattice-valued (checked).
+    structure of the simplices and stay lattice-valued (checked).  They are
+    kept as integer rows (``face_rows``, ``degen_rows``).
     """
 
     def __init__(self, p, max_level, q_max):
@@ -235,8 +237,8 @@ class VLevels:
         return [[Fraction(mat[(i, j)]) for j in range(mat.cols)]
                 for i in range(mat.rows)]
 
-    def _structure_matrix(self, n, target_n, vertex_map, k):
-        """Lattice-to-lattice matrix of a cochain map C^k(delta^n) -> C^k(delta^m)."""
+    def _structure_rows(self, n, target_n, vertex_map, k):
+        """Lattice-to-lattice rows of a cochain map C^k(delta^n) -> C^k(delta^m)."""
         src = self.shifted(n)
         tgt = self.shifted(target_n)
         amb = _vertex_map_matrix(self.space(target_n), self.space(n),
@@ -247,24 +249,29 @@ class VLevels:
             if sol is None:
                 raise StructuralError("structure map left the shifted lattice")
             cols.append(sol)
-        return [[Fraction(x) for x in row]
-                for row in columns_to_rows(cols, tgt.dim(k))]
+        return denominator_rows(cols, tgt.dim(k))
 
-    def face_matrix(self, n, i, k):
+    def face_rows(self, n, i, k):
         key = (n, i, k)
         if key not in self._faces:
             # the face inclusion delta^{n-1} -> delta^n skips vertex i
             vmap = {v: (v if v < i else v + 1) for v in range(n)}
-            self._faces[key] = self._structure_matrix(n, n - 1, vmap, k)
+            self._faces[key] = self._structure_rows(n, n - 1, vmap, k)
         return self._faces[key]
 
-    def degen_matrix(self, n, i, k):
+    def degen_rows(self, n, i, k):
         key = (n, i, k)
         if key not in self._degens:
             # the collapse delta^{n+1} -> delta^n repeats vertex i
             vmap = {v: (v if v <= i else v - 1) for v in range(n + 2)}
-            self._degens[key] = self._structure_matrix(n, n + 1, vmap, k)
+            self._degens[key] = self._structure_rows(n, n + 1, vmap, k)
         return self._degens[key]
+
+    def face_matrix(self, n, i, k):
+        return fraction_rows(self.face_rows(n, i, k), self.dims(n, k))
+
+    def degen_matrix(self, n, i, k):
+        return fraction_rows(self.degen_rows(n, i, k), self.dims(n, k))
 
     def multiply(self, n, k1, v1, k2, v2):
         src = self.shifted(n)
@@ -282,7 +289,8 @@ class TensorLevels:
 
     Component (n, k) has basis pairs (i, a, b) with i + j = k; differential
     d(a x b) = da x b + (-1)^i a x db; faces, degeneracies and products act
-    componentwise (with the Koszul sign for products).
+    componentwise (with the Koszul sign for products).  The weight of a basis
+    pair is that of its second factor, and ``weight`` is the second family's.
     """
 
     def __init__(self, first, second, q_max):
@@ -309,6 +317,14 @@ class TensorLevels:
     def dims(self, n, k):
         return len(self.basis(n, k))
 
+    @property
+    def weight(self):
+        return self.second.weight
+
+    def coordinate_weights(self, n, k):
+        second = {j: self.second.coordinate_weights(n, j) for j in range(k + 1)}
+        return [second[k - i][b] for i, _, b in self.basis(n, k)]
+
     def diff_matrix(self, n, k):
         src = self.basis(n, k)
         tgt = self.basis(n, k + 1)
@@ -328,34 +344,39 @@ class TensorLevels:
         return rows
 
     def _pointwise(self, first, second, n, i, k, target_n):
-        """The tensor of the two families' maps (n, i, d) -> target_n; cached."""
+        """The tensor of the two families' maps (n, i, d) -> target_n, as
+        rows over denominators; cached.  Row (d, r1, r2) is row r1 of the
+        first map times row r2 of the second."""
         key = (n, i, k, target_n)
         if key in self._maps:
             return self._maps[key]
-        src = self.basis(n, k)
-        tgt = self.basis(target_n, k)
-        index = {t: pos for pos, t in enumerate(tgt)}
-        rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-        mats = {d: (first(n, i, d), second(n, i, k - d))
-                for d in {t[0] for t in src}}
-        for col, (d, a, b) in enumerate(src):
-            fm, sm = mats[d]
-            for r1 in range(len(fm)):
-                if not fm[r1][a]:
-                    continue
-                for r2 in range(len(sm)):
-                    if sm[r2][b]:
-                        rows[index[(d, r1, r2)]][col] += fm[r1][a] * sm[r2][b]
+        index = {t: pos for pos, t in enumerate(self.basis(n, k))}
+        rows = []
+        for d in range(k + 1):
+            if not (self.first.dims(target_n, d) and
+                    self.second.dims(target_n, k - d)):
+                continue
+            second_rows = second(n, i, k - d)
+            for d1, row1 in first(n, i, d):
+                for d2, row2 in second_rows:
+                    rows.append((d1 * d2, [(index[(d, a, b)], x * y)
+                                           for a, x in row1 for b, y in row2]))
         self._maps[key] = rows
         return rows
 
-    def face_matrix(self, n, i, k):
-        return self._pointwise(self.first.face_matrix, self.second.face_matrix,
+    def face_rows(self, n, i, k):
+        return self._pointwise(self.first.face_rows, self.second.face_rows,
                                n, i, k, n - 1)
 
+    def degen_rows(self, n, i, k):
+        return self._pointwise(self.first.degen_rows, self.second.degen_rows,
+                               n, i, k, n + 1)
+
+    def face_matrix(self, n, i, k):
+        return fraction_rows(self.face_rows(n, i, k), self.dims(n, k))
+
     def degen_matrix(self, n, i, k):
-        return self._pointwise(self.first.degen_matrix,
-                               self.second.degen_matrix, n, i, k, n + 1)
+        return fraction_rows(self.degen_rows(n, i, k), self.dims(n, k))
 
     def multiply(self, n, k1, v1, k2, v2):
         src1 = self.basis(n, k1)

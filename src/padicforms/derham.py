@@ -15,7 +15,7 @@ over the local ring at p.
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from padicforms.arith import valuation
 from padicforms.divided import (
@@ -36,10 +36,12 @@ from padicforms.linalg import (
     cohomology,
     columns_to_rows,
     combine_columns,
+    compose_rows,
+    denominator_rows,
+    fraction_rows,
     gf_kernel,
-    identity_rows,
+    integer_rows,
     lattice_membership,
-    mat_mul,
     mat_vec,
     p_local_cohomology,
     p_local_solve,
@@ -179,8 +181,11 @@ class OmegaLevels:
     """Simplicial family of weight-truncated form lattices, with caching.
 
     Levels and their face, degeneracy and d matrices are built on first use
-    and kept; max_level is not needed for that and is ignored.  Callers
-    share the matrices handed out (see ``omega_levels``) and must not
+    and kept; max_level is not needed for that and is ignored.  Face and
+    degeneracy maps are kept as integer rows over p-unit row denominators
+    (``face_rows``, ``degen_rows``; see ``linalg.denominator_rows``);
+    ``face_matrix`` and ``degen_matrix`` make dense Fraction rows from them.
+    Callers share the matrices handed out (see ``omega_levels``) and must not
     mutate them.
     """
 
@@ -198,6 +203,10 @@ class OmegaLevels:
 
     def dims(self, n, k):
         return self.level(n).dims(k)
+
+    def coordinate_weights(self, n, k):
+        """The weight of each degree-k basis vector at level n, in order."""
+        return [mon.weight for mon in self.level(n).basis.get(k, [])]
 
     def diff_matrix(self, n, k):
         if (n, k) not in self._diffs:
@@ -250,16 +259,23 @@ class OmegaLevels:
             dx_images[k] = form.differential()
         return var_images, dx_images
 
+    def face_rows(self, n, i, k):
+        """Rows of the i-th face map on degree-k forms, level n -> n-1."""
+        return self._structure_rows(self._face_images, n, i, k, n - 1)
+
+    def degen_rows(self, n, i, k):
+        """Rows of the i-th degeneracy on degree-k forms, level n -> n+1."""
+        return self._structure_rows(self._degen_images, n, i, k, n + 1)
+
     def face_matrix(self, n, i, k):
-        """Matrix of the i-th face map on degree-k forms, level n -> n-1."""
-        return self._structure_matrix(self._face_images, n, i, k, n - 1)
+        return fraction_rows(self.face_rows(n, i, k), self.dims(n, k))
 
     def degen_matrix(self, n, i, k):
-        """Matrix of the i-th degeneracy on degree-k forms, level n -> n+1."""
-        return self._structure_matrix(self._degen_images, n, i, k, n + 1)
+        return fraction_rows(self.degen_rows(n, i, k), self.dims(n, k))
 
-    def _structure_matrix(self, images, n, i, k, target_n):
-        """Level-to-level matrix of the map given by the chart images; cached."""
+    def _structure_rows(self, images, n, i, k, target_n):
+        """Level-to-level map given by the chart images, as rows over
+        denominators; cached."""
         key = (n, i, k, target_n)
         if key not in self._maps:
             lv, target = self.level(n), self.level(target_n)
@@ -272,7 +288,7 @@ class OmegaLevels:
                 if any(valuation(c, self.prime) < 0 for c in vec if c):
                     raise StructuralError("structure map escapes the target lattice")
                 cols.append(vec)
-            self._maps[key] = columns_to_rows(cols, target.dims(k))
+            self._maps[key] = denominator_rows(cols, target.dims(k))
         return self._maps[key]
 
     def unit_vector(self, n):
@@ -317,7 +333,8 @@ class SectionComplex:
     For each degree k, ``sections[k]`` is a list of ambient coordinate columns
     (one block per nondegenerate simplex of the space), forming a basis of the
     compatible families over the local ring at p: the kernel of the face
-    constraints, whose factorization ``_factors[k]`` also reads coordinates.
+    constraints, whose factorization ``_factors[k]`` (made without U) also
+    reads coordinates.
     """
 
     def __init__(self, space, levels, q_max):
@@ -344,38 +361,54 @@ class SectionComplex:
             self.offsets[k] = (offs, pos)
         return self.offsets[k]
 
-    def _word_matrix(self, word, base_dim, k):
-        """Matrix of s_{j_1} ... s_{j_r} from level base_dim upwards."""
-        rows = identity_rows(self.levels.dims(base_dim, k))
+    def _word_rows(self, word, base_dim, k):
+        """Rows of s_{j_1} ... s_{j_r} from level base_dim upwards."""
+        rows = [(1, [(r, 1)]) for r in range(self.levels.dims(base_dim, k))]
         level = base_dim
         for j in reversed(word):
-            rows = mat_mul(self.levels.degen_matrix(level, j, k), rows)
+            rows = compose_rows(self.levels.degen_rows(level, j, k), rows)
             level += 1
         return rows
 
     def _solve_degree(self, k):
+        """The factorization of the degree-k face constraints: one integer
+        row per (cell, face, coordinate), face image minus the face cell's
+        block, times the row's p-unit denominator."""
         offs, total = self.cell_block(k)
         constraint_rows = []
         for name, d in self.cells:
             if d == 0:
                 continue
-            off_s, width_s = offs[name]
+            off_s, _ = offs[name]
             for i in range(d + 1):
                 img = self.space.faces[(name, i)]
                 off_b, _ = offs[img.base]
-                word = self._word_matrix(
+                word = self._word_rows(
                     img.word, self.space.dim_of(img.base), k) if img.word else None
-                for r, face_row in enumerate(self.levels.face_matrix(d, i, k)):
-                    row = [Fraction(0)] * total
-                    row[off_s:off_s + width_s] = face_row
+                for r, (den, entries) in enumerate(self.levels.face_rows(d, i, k)):
+                    row = [0] * total
                     if word is None:
-                        row[off_b + r] -= 1
+                        for j, x in entries:
+                            row[off_s + j] = x
+                        row[off_b + r] -= den
                     else:
-                        for j, c in enumerate(word[r]):
-                            if c:
-                                row[off_b + j] -= c
+                        wden, wentries = word[r]
+                        common = lcm(den, wden)
+                        f, g = common // den, common // wden
+                        for j, x in entries:
+                            row[off_s + j] = f * x
+                        for j, x in wentries:
+                            row[off_b + j] -= g * x
                     constraint_rows.append(row)
-        return PLocalFactorization(constraint_rows, self.prime, total)
+        return PLocalFactorization(constraint_rows, self.prime, total,
+                                   with_u=False)
+
+    def coordinate_weights(self, k):
+        """The weight of each ambient coordinate of degree k."""
+        out = []
+        for _, d in self.cells:
+            out.extend(self.levels.coordinate_weights(d, k))
+        return out
 
     def express(self, k, ambient_vec):
         """Coordinates of an ambient vector in the degree-k section basis."""
@@ -426,6 +459,47 @@ class SectionComplex:
         d_cur = self.diff_in_sections(q)
         return p_local_cohomology(d_prev, d_cur, self.prime)
 
+    def lower_weight_invariants(self):
+        """(free rank, torsion) of H^q one weight lower, for q <= q_max.
+
+        d keeps the weight, a face never raises it and a degeneracy keeps it,
+        so the sections at weight W-1 are the sections here that vanish on
+        the coordinates of weight W, and their complex is a subcomplex of
+        this one.  A section basis is the identity on the free columns of its
+        factorization, so K_q, the weight W-1 sections in section coordinates,
+        is zero on the sections whose free column has weight W and is the
+        kernel of the section basis's other weight-W rows on the rest.  With
+        D_q the section differential, ker d_q is saturated and holds the
+        image of d_(q-1), so H^q at W-1 has free rank
+        |K_q| - rank(D_q K_q) - rank(D_(q-1) K_(q-1)), and its torsion is the
+        non-unit part of the Smith diagonal of D_(q-1) K_(q-1).
+        """
+        top, p = self.levels.weight, self.prime
+        ranks, diags, dims = {-1: 0}, {-1: []}, {}
+        for q in range(self.q_max + 1):
+            secs, free = self.sections[q], self._factors[q].free
+            weights = self.coordinate_weights(q)
+            keep = [j for j, f in enumerate(free) if weights[f] < top]
+            free_set = set(free)
+            cut = [[secs[j][r] for j in keep] for r, w in enumerate(weights)
+                   if w == top and r not in free_set]
+            basis = PLocalFactorization(integer_rows(cut, p), p, len(keep),
+                                        with_u=False).kernel()
+            dims[q] = len(basis)
+            # D_q K_q over integers: rows and columns scaled by p-units
+            cols = integer_rows(basis, p)
+            image = []
+            for row in integer_rows(self.diff_in_sections(q), p):
+                sub = [(t, row[j]) for t, j in enumerate(keep) if row[j]]
+                out = [sum(x * col[t] for t, x in sub) for col in cols]
+                if any(out):
+                    image.append(out)
+            fac = PLocalFactorization(image, p, len(cols), with_u=False)
+            ranks[q], diags[q] = fac.rank, fac.diag
+        return {q: (dims[q] - ranks[q] - ranks[q - 1],
+                    sorted(int(d) for d in diags[q - 1] if d and d != 1))
+                for q in range(self.q_max + 1)}
+
 
 def omega_of_space(space, weight, q_max, prime):
     """Compatible form families on a library space, at truncation."""
@@ -436,22 +510,23 @@ def omega_of_space(space, weight, q_max, prime):
 # cohomology of omega with stability flags
 # ---------------------------------------------------------------------------
 
-def stable_cohomology(space, levels_at, weight, q_max):
-    """The section complex at a weight, its reports, and per-degree flags.
+def stable_cohomology(space, levels, q_max):
+    """The section complex of a level family, its reports, and per-degree
+    flags.
 
-    levels_at(w) gives the level family at weight w.  A degree is flagged
-    stable when weight W-1 gives the same invariants; weight 1 is compared
-    with itself, so it reads stable.  Returns (complex, reports, stable).
+    A degree is flagged stable when weight W-1 gives the same invariants,
+    W being ``levels.weight``; they are read off the one complex
+    (``SectionComplex.lower_weight_invariants``).  Weight 1 is compared with
+    itself, so it reads stable.  Returns (complex, reports, stable).
     """
-    def at(w):
-        cx = SectionComplex(space, levels_at(w), q_max)
-        return cx, {q: cx.cohomology(q) for q in range(q_max + 1)}
-
-    big, reports = at(weight)
-    _, other = (big, reports) if weight == 1 else at(weight - 1)
-    stable = {q: reports[q].invariants() == other[q].invariants()
-              for q in reports}
-    return big, reports, stable
+    cx = SectionComplex(space, levels, q_max)
+    reports = {q: cx.cohomology(q) for q in range(q_max + 1)}
+    if levels.weight == 1:
+        lower = {q: rep.invariants() for q, rep in reports.items()}
+    else:
+        lower = cx.lower_weight_invariants()
+    stable = {q: reports[q].invariants() == lower[q] for q in reports}
+    return cx, reports, stable
 
 
 def omega_cohomology(space, weight, q_max, prime):
@@ -463,7 +538,7 @@ def omega_cohomology(space, weight, q_max, prime):
     if weight < 2:
         raise ValueError("stability needs weight >= 2")
     big, reports, stable = stable_cohomology(
-        space, lambda w: omega_levels(w, prime), weight, q_max)
+        space, omega_levels(weight, prime), q_max)
     products = {}
     for q1 in range(q_max + 1):
         for q2 in range(q_max + 1 - q1):
@@ -559,8 +634,9 @@ class LevelModule:
         self._face_cache = {}
         for n in range(max_level + 1):
             dmat = levels.diff_matrix(n, k) if cocycles else []
-            self.factors[n] = PLocalFactorization(dmat, self.prime,
-                                                  levels.dims(n, k))
+            self.factors[n] = PLocalFactorization(
+                integer_rows(dmat, self.prime), self.prime, levels.dims(n, k),
+                with_u=False)
             self.bases[n] = self.factors[n].kernel()
 
     def dim(self, n):
@@ -586,7 +662,9 @@ def moore_complex(module, top_level):
         stacked = []
         for i in range(1, m + 1):
             stacked.extend(module.face_matrix(m, i))
-        factors[m] = PLocalFactorization(stacked, module.prime, module.dim(m))
+        factors[m] = PLocalFactorization(integer_rows(stacked, module.prime),
+                                         module.prime, module.dim(m),
+                                         with_u=False)
     bases = {m: fac.kernel() for m, fac in factors.items()}
     diffs = {}
     for m in range(1, top_level + 1):

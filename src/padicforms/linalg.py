@@ -18,12 +18,16 @@ it; over the local ring the factorization that finds a kernel also reads
 coordinates in it.  Both Smith forms record the inverse of their left
 transform as they eliminate.  The local one is fraction-free: it eliminates
 integer rows with p-unit scales, keeps that integer form for its solves, and
-makes Fractions only for its results.  Cohomology over Z, Z/p^k and the local
+makes Fractions only for its results.  Where only the kernel, its coordinates
+or the diagonal are read, it runs without U on integer rows
+(``with_u=False``).  Cohomology over Z, Z/p^k and the local
 ring share one quotient routine; F_p has one reduced-echelon routine
 (``_gf_insert``/``_gf_reduce``) for kernels, images and class coordinates.
 
-The dense row helpers (mat_vec, mat_mul, combine_columns, identity_rows) live
-here too; no other module does linear algebra of its own.
+The dense row helpers (mat_vec, combine_columns, identity_rows) and the rows
+over p-unit denominators that the level families keep (denominator_rows,
+compose_rows, fraction_rows) live here too; no other module does linear
+algebra of its own.
 """
 
 from dataclasses import dataclass, field
@@ -149,18 +153,57 @@ def identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# A matrix over the local ring at p can be kept as rows over denominators:
+# row r is (d_r, [(j, a_rj), ...]), the integer entries a_rj / d_r, with d_r a
+# p-unit.  The level families keep their face and degeneracy maps this way.
+
+def denominator_rows(columns, nrows):
+    """The rows, over denominators, of the matrix with the given columns of
+    p-integral Fractions (or integers); each row's denominator is the lcm of
+    its entries' denominators."""
+    entries = [[] for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for r, x in enumerate(col):
+            if x:
+                entries[r].append((j, x))
+    out = []
+    for row in entries:
+        d = lcm(*(x.denominator for _, x in row))
+        out.append((d, [(j, x.numerator * (d // x.denominator)) for j, x in row]))
+    return out
+
+
+def compose_rows(left, right):
+    """left * right for two matrices of rows over denominators."""
+    out = []
+    for d, entries in left:
+        common = lcm(*(right[t][0] for t, _ in entries))
+        acc = {}
+        for t, a in entries:
+            dt, row = right[t]
+            f = a * (common // dt)
+            for j, b in row:
+                acc[j] = acc.get(j, 0) + f * b
+        out.append((d * common, [(j, x) for j, x in acc.items() if x]))
+    return out
+
+
+def fraction_rows(rows, ncols):
+    """Dense Fraction rows of a matrix of rows over denominators."""
+    zero = Fraction(0)
+    out = []
+    for d, entries in rows:
+        row = [zero] * ncols
+        for j, x in entries:
+            row[j] = Fraction(x, d)
+        out.append(row)
+    return out
+
+
 def mat_vec(rows, vec):
     """rows * vec for dense rows; the vector's nonzero entries are found once."""
     support = [(j, x) for j, x in enumerate(vec) if x]
     return [sum(r[j] * x for j, x in support if r[j]) for r in rows]
-
-
-def mat_mul(a, b):
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
-             for j in range(cols)] for i in range(len(a))]
 
 
 def combine_columns(cols, coords, length):
@@ -184,11 +227,11 @@ class SmithForm(tuple):
 
     ``uinv[i]`` is column i of U^-1, recorded during the elimination: a row
     operation on U is a column operation on U^-1.  Readers check U*w = e_i
-    before they use a column.  ``local``, ``free`` and ``acols`` are what
-    PLocalFactorization reads (set by p_local_snf).
+    before they use a column.  ``local``, ``free``, ``acols`` and ``kernel``
+    are what PLocalFactorization reads (set by p_local_snf).
     """
 
-    local = free = acols = None
+    local = free = acols = kernel = None
 
     def __new__(cls, u, d, v, uinv):
         self = super().__new__(cls, (u, d, v))
@@ -518,13 +561,36 @@ def complete_basis(columns, dim):
 # fraction-free p-local (DVR) elimination
 # ---------------------------------------------------------------------------
 
-def p_local_snf(rows, p):
-    """Smith form over the local ring at p for a matrix of Fractions.
+def integer_rows(rows, p):
+    """Each row of p-integral Fractions times the lcm of its denominators.
 
-    Returns (U, diag, V) as dense Fraction matrices with U*A*V = diag(p^e_i),
-    e_1 <= e_2 <= ...; U and V are invertible over the local ring (their
-    entries are p-integral and their determinants are p-units).  All entries
-    of A must be p-integral.
+    The lcm is a p-unit, so the integer rows have the kernel, the pivots and
+    the Smith diagonal of the given ones: they are what p_local_snf takes
+    without U.
+    """
+    return [_cleared_row(r, p)[0] for r in rows]
+
+
+def _cleared_row(row, p):
+    support = [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x]
+    dens = {d for _, _, d in support}
+    if any(d % p == 0 for d in dens):
+        raise StructuralError("entry is not p-integral")
+    scale = lcm(*dens)
+    out = [0] * len(row)
+    for j, a, d in support:
+        out[j] = a * (scale // d)
+    return out, scale
+
+
+def p_local_snf(rows, p, with_u=True):
+    """Smith form over the local ring at p.
+
+    With U (the default) rows is a matrix of p-integral Fractions, and the
+    result is (U, diag, V) as dense Fraction matrices with
+    U*A*V = diag(p^e_i), e_1 <= e_2 <= ...; U and V are invertible over the
+    local ring (their entries are p-integral and their determinants are
+    p-units).
 
     The elimination is fraction-free, in the style of Bareiss (1968).  Row i
     of [A | U] is s_i * R_i: an integer row R_i, cleared of the row's p-unit
@@ -533,13 +599,21 @@ def p_local_snf(rows, p):
     pivot p^e * c (c a p-unit) clears column k from row i by
     R_i <- c*R_i - (R_ik / p^e)*R_k on the support of R_k; the changed row is
     then divided by its p-unit content.  The column step only touches V, kept
-    as integer columns over p-unit denominators.  The Fractions are made once,
-    at the end.  The result is a SmithForm: the inverse of U is recorded as U
-    is built, in ``uinv`` as sparse columns {row: entry}; past the current
-    pivot those columns are still permuted unit vectors, so each elimination
-    step adds one entry to the pivot's column.  ``local`` holds the integer
-    rows of U, p^e_i per pivot, and V's pivot columns times the scales of U's
-    rows over one common denominator.
+    as sparse integer columns over p-unit denominators.  The Fractions are
+    made once, at the end.  The result is a SmithForm: the inverse of U is
+    recorded as U is built, in ``uinv`` as sparse columns {row: entry}; past
+    the current pivot those columns are still permuted unit vectors, so each
+    elimination step adds one entry to the pivot's column.  ``local`` holds
+    the integer rows of U, p^e_i per pivot, and V's pivot columns times the
+    scales of U's rows over one common denominator.
+
+    Without U (``with_u=False``) rows must be integer rows, each already
+    cleared of its p-unit denominators (``integer_rows``).  No [A | U], U^-1,
+    scales or ``local`` are carried; U, V and ``uinv`` are None, and
+    ``kernel`` holds V's kernel columns V[:, r:] as Fraction columns.  Each
+    row differs from its full-mode counterpart by a p-unit factor, so the
+    valuations, hence the pivots, the diagonal, ``free`` and V are the same.
+    A row can become zero in this mode; it is then left as it is.
 
     ``acols`` holds A's nonzero entries by column, each row cleared of its
     denominators.  ``free`` lists the free columns F, never chosen as pivots,
@@ -550,23 +624,27 @@ def p_local_snf(rows, p):
     """
     n = len(rows)
     m = len(rows[0]) if rows else 0
+    width = m + n if with_u else m
     a, num, den = [], [1] * n, []  # row i of [A | U] is num[i]/den[i] * a[i]
     acols = [[] for _ in range(m)]
     for i, r in enumerate(rows):
-        if any(x.denominator % p == 0 for x in r):
-            raise StructuralError("entry is not p-integral")
-        scale = lcm(*(x.denominator for x in r))
-        row = [x.numerator * (scale // x.denominator) for x in r]
+        if with_u:
+            row, scale = _cleared_row(r, p)
+            den.append(scale)
+        else:
+            row = list(r)
         for j in [j for j, x in enumerate(row) if x]:
             acols[j].append((i, row[j]))
-        a.append(row + [0] * n)
-        a[i][m + i] = scale
-        den.append(scale)
-    vcol = [[int(r == j) for r in range(m)] for j in range(m)]
+        if with_u:
+            row += [0] * n
+            row[m + i] = scale
+        a.append(row)
+    vcol = [{j: 1} for j in range(m)]
     vden = [1] * m  # column j of V is vcol[j] / vden[j]
     orig = list(range(m))  # the original column of column j of V
     perm = list(range(n))  # column i of U^-1 is e_perm[i] while i >= k
     uinv, pes = [], []  # uinv entries as (numerator, denominator) until the end
+    swapped = (a, num, den, perm) if with_u else (a,)
 
     k = 0
     while k < min(n, m):
@@ -584,7 +662,7 @@ def p_local_snf(rows, p):
                 break
         if best is None:
             break
-        for lst in (a, num, den, perm):
+        for lst in swapped:
             lst[k], lst[pi] = lst[pi], lst[k]
         if pj != k:
             for r in a[k:]:
@@ -593,45 +671,63 @@ def p_local_snf(rows, p):
                 lst[k], lst[pj] = lst[pj], lst[k]
         rk, pe = a[k], p ** best
         c = rk[k] // pe  # the pivot's unit part
-        w_k = {perm[k]: (num[k] * c, den[k])}
-        support = [j for j in range(k, m + n) if rk[j]]
+        if with_u:
+            w_k = {perm[k]: (num[k] * c, den[k])}
+        support = [j for j in range(k, width) if rk[j]]
         for i in range(k + 1, n):
             ri = a[i]
             if ri[k]:
                 t = ri[k] // pe
-                w_k[perm[i]] = (num[i] * t, den[i])  # col_k of U^-1 += s_i*t * col_i
+                if with_u:  # col_k of U^-1 += s_i*t * col_i
+                    w_k[perm[i]] = (num[i] * t, den[i])
                 if c != 1:
                     ri = [c * x for x in ri]
                 for j in support:
                     ri[j] -= t * rk[j]
-                g = gcd(*ri)
-                while g % p == 0:
+                g = gcd(*ri)  # 0 only for a row that became zero
+                while g and g % p == 0:
                     g //= p
                 a[i] = [x // g for x in ri] if g > 1 else ri
-                h = gcd(num[i] * g, den[i] * c)
-                num[i], den[i] = num[i] * g // h, den[i] * c // h
-        uinv.append(w_k)
+                if with_u:
+                    h = gcd(num[i] * g, den[i] * c)
+                    num[i], den[i] = num[i] * g // h, den[i] * c // h
+        if with_u:
+            uinv.append(w_k)
+            num[k], den[k] = 1, c
         vk, dk = vcol[k], vden[k]
-        vsupport = [r for r in range(m) if vk[r]]
         for j in range(k + 1, m):
             if rk[j]:  # column_j of V -= (rk[j] / (c * p^e)) * column_k
-                t, rk[j] = rk[j] // pe * vden[j], 0
-                vj = vcol[j] if c * dk == 1 else [c * dk * x for x in vcol[j]]
-                for r in vsupport:
-                    vj[r] -= t * vk[r]
-                g = gcd(vden[j] * c * dk, *vj)
-                vcol[j] = [x // g for x in vj] if g > 1 else vj
-                vden[j] = vden[j] * c * dk // g
-        num[k], den[k] = 1, c
+                t, rk[j], s = rk[j] // pe * vden[j], 0, c * dk
+                vj = vcol[j] if s == 1 else {r: s * x for r, x in vcol[j].items()}
+                for r, x in vk.items():
+                    y = vj.get(r, 0) - t * x
+                    if y:
+                        vj[r] = y
+                    else:
+                        del vj[r]
+                g = gcd(vden[j] * s, *vj.values())
+                vcol[j] = {r: x // g for r, x in vj.items()} if g > 1 else vj
+                vden[j] = vden[j] * s // g
         pes.append(pe)
         k += 1
 
     zero = Fraction(0)
+
+    def column(j):
+        out, d = [zero] * m, vden[j]
+        for r, x in vcol[j].items():
+            out[r] = Fraction(x, d)
+        return out
+
+    diag = [Fraction(pe) for pe in pes] + [zero] * (min(n, m) - k)
+    if not with_u:
+        snf = SmithForm(None, diag, None, None)
+        snf.kernel = [column(j) for j in range(k, m)]
+        snf.free, snf.acols = orig[k:], acols
+        return snf
     u = [[Fraction(num[i] * x, den[i]) if x else zero for x in a[i][m:]]
          for i in range(n)]
-    v = [[Fraction(col[r], d) if col[r] else zero for col, d in zip(vcol, vden)]
-         for r in range(m)]
-    diag = [Fraction(pe) for pe in pes] + [zero] * (min(n, m) - k)
+    v = columns_to_rows([column(j) for j in range(m)], m)
     uinv = [{t: Fraction(*q) for t, q in w.items()} for w in uinv] + \
         [{perm[i]: Fraction(1)} for i in range(k, n)]
     snf = SmithForm(u, diag, v, uinv)
@@ -640,36 +736,47 @@ def p_local_snf(rows, p):
     common = lcm(*(den[i] * vden[i] for i in range(k)))
     weights = [num[i] * common // (den[i] * vden[i]) for i in range(k)]
     snf.local = ([r[m:] for r in a], pes,
-                 [[(r, w * x) for r, x in enumerate(vcol[i]) if x]
+                 [[(r, w * x) for r, x in vcol[i].items()]
                   for i, w in enumerate(weights)], common)
     snf.free, snf.acols = orig[k:], acols
     return snf
 
 
 class PLocalFactorization:
-    """p_local_snf of a p-integral Fraction matrix, kept for many solves.
+    """p_local_snf of a p-integral matrix, kept for many solves.
 
     ``solve`` works on the integer form of the Smith form (``local``): the
     integer rows of U, whose p-unit scales are folded into V's pivot columns,
     and V's pivot columns over one common p-unit denominator.  ncols must be
     given when rows is empty (a map into the zero module).
+
+    With ``with_u=False`` rows are integer rows (``integer_rows``) and the
+    factorization keeps no U, V or ``local``: only the diagonal, the kernel
+    columns, ``free`` and ``acols``.  It answers ``kernel`` and
+    ``kernel_coordinates`` but not ``solve``.
     """
 
-    def __init__(self, rows, p, ncols=None):
+    u = v = uinv = local = None
+
+    def __init__(self, rows, p, ncols=None, with_u=True):
         if rows and ncols is not None and len(rows[0]) != ncols:
             raise ValueError("ncols mismatch")
         self.p = p
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else ncols
         if self.nrows and self.ncols:
-            snf = p_local_snf(rows, p)
+            snf = p_local_snf(rows, p, with_u)
         else:  # no rows or no columns: V is the identity, all of it kernel
             n = self.ncols
-            snf = SmithForm([], [], [[Fraction(int(r == j)) for j in range(n)]
-                                     for r in range(n)], [])
+            ident = [[Fraction(int(r == j)) for j in range(n)] for r in range(n)]
+            snf = SmithForm([], [], ident, []) if with_u else \
+                SmithForm(None, [], None, None)
+            snf.kernel = None if with_u else ident
             snf.free, snf.acols = list(range(n)), [[] for _ in range(n)]
-        (self.u, self.diag, self.v), self.uinv = snf, snf.uinv
-        self.local, self.free, self.acols = snf.local, snf.free, snf.acols
+        self.diag, self.free, self.acols = snf[1], snf.free, snf.acols
+        if with_u:
+            (self.u, _, self.v), self.uinv, self.local = snf, snf.uinv, snf.local
+        self._kernel = snf.kernel
         self.rank = sum(1 for d in self.diag if d)
 
     @classmethod
@@ -689,6 +796,8 @@ class PLocalFactorization:
 
     def kernel(self):
         """Basis of the kernel over the local ring at p, as coordinate columns."""
+        if self._kernel is not None:
+            return self._kernel
         return [[row[j] for row in self.v] for j in range(self.rank, self.ncols)]
 
     def kernel_coordinates(self, x):
@@ -718,6 +827,8 @@ class PLocalFactorization:
         """
         if not self.nrows or not self.ncols:
             return [Fraction(0)] * self.ncols if not any(target) else None
+        if self.local is None:
+            raise ValueError("a factorization made without U does not solve")
         urows, pes, vcols, common = self.local
         tden = lcm(*(t.denominator for t in target))
         support = [(j, t.numerator * (tden // t.denominator))
@@ -741,7 +852,8 @@ class PLocalFactorization:
 
 def p_local_kernel(rows, p, ncols):
     """Basis of the kernel over the local ring at p, as coordinate columns."""
-    return PLocalFactorization(rows, p, ncols).kernel()
+    return PLocalFactorization(integer_rows(rows, p), p, ncols,
+                               with_u=False).kernel()
 
 
 def p_local_solve(rows, target, p):
@@ -1017,7 +1129,8 @@ def p_local_cohomology(d_prev, d_cur, p):
     ncols = len(d_cur[0]) if d_cur else (len(d_prev) if d_prev else 0)
     if d_prev and d_cur and d_prev[0] and len(d_prev) != ncols:
         raise StructuralError("differentials do not compose")
-    dfac = PLocalFactorization(d_cur, p, ncols)
+    # _quotient reads d only through kernel_coordinates: no U is needed
+    dfac = PLocalFactorization(integer_rows(d_cur, p), p, ncols, with_u=False)
     kernel = dfac.kernel()
     if not kernel:
         return AbelianGroupReport(0, [], [])

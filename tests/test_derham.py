@@ -37,6 +37,7 @@ from padicforms.derham import (
 from padicforms.linalg import (
     PLocalFactorization,
     combine_columns,
+    gf_kernel,
     identity_rows,
     p_local_kernel,
 )
@@ -208,8 +209,7 @@ def test_level_family_memo_stays_bounded():
     space = sphere(1)
     for w, p in keys + keys[:3]:
         got = omega_cohomology(space, w, 1, p)
-        _, reports, stable = stable_cohomology(
-            space, lambda v: OmegaLevels(v, p), w, 1)
+        _, reports, stable = stable_cohomology(space, OmegaLevels(w, p), 1)
         assert {q: r.invariants() for q, r in got["reports"].items()} == \
             {q: r.invariants() for q, r in reports.items()} == \
             {0: (1, []), 1: (1, [])}, (w, p)
@@ -669,3 +669,119 @@ def test_section_complex_matches_frozen_refactoring_copy():
         old_table = _products(frozen, q_max, {q: o[1] for q, o in old.items()},
                               {q: o[2] for q, o in old.items()})
         assert live_table == old_table, case
+
+
+# -- the weight W-1 pass and mod-p universal coefficients ------------------------
+
+def _family(kind, space, weight, p, q_max):
+    from padicforms.decalage import VLevels, tensor_cochain_algebra
+    if kind == "omega":
+        return OmegaLevels(weight, p)
+    return tensor_cochain_algebra(VLevels(p, space.dimension + 1, q_max),
+                                  OmegaLevels(weight, p), q_max)
+
+
+def _frozen_lower_weight_pass(space, kind, weight, p, q_max):
+    """The direct weight W-1 pass as stable_cohomology made it before its
+    invariants were read off the weight-W complex: a second SectionComplex
+    on the W-1 family, and its full reports."""
+    cx = SectionComplex(space, _family(kind, space, weight - 1, p, q_max), q_max)
+    return {q: cx.cohomology(q).invariants() for q in range(q_max + 1)}
+
+
+def _lower_weight_cases():
+    from padicforms.massey import random_space
+    yield rp2(), "omega", 4, 2          # unstable
+    yield sphere(2), "omega", 3, 3      # unstable
+    for space, p in itertools.product((rp2(), sphere(2), delta(3)), (2, 3)):
+        yield space, "omega", 3, p
+    for space, p in itertools.product((rp2(), sphere(2)), (2, 3)):
+        yield space, "tensor", 2, p
+    for seed, p in itertools.product(range(8), (2, 3)):
+        yield random_space(seed, 3, 5, 3), "omega", 3, p
+
+
+def test_lower_weight_invariants_match_direct_pass():
+    unstable = set()
+    for space, kind, weight, p in _lower_weight_cases():
+        case = (space.name, kind, weight, p)
+        q_max = min(3, space.dimension)
+        cx, reports, stable = stable_cohomology(
+            space, _family(kind, space, weight, p, q_max), q_max)
+        direct = _frozen_lower_weight_pass(space, kind, weight, p, q_max)
+        assert cx.lower_weight_invariants() == direct, case
+        assert stable == {q: rep.invariants() == direct[q]
+                          for q, rep in reports.items()}, case
+        if not all(stable.values()):
+            unstable.add(case)
+    assert {("rp2", "omega", 4, 2), ("sphere2", "omega", 3, 3)} <= unstable
+
+
+def _mod_p_rank(rows, p, ncols):
+    reduced = [[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+               for row in rows]
+    return ncols - len(gf_kernel(reduced, p, ncols))
+
+
+def _universal_coefficient_cases():
+    from padicforms.massey import random_space
+    yield rp2(), "omega", 4, 2          # H^2 has 2-torsion
+    yield sphere(2), "omega", 3, 3      # H^2 has 3-torsion
+    for seed, p in itertools.product(range(8), (2, 3)):
+        space = random_space(seed, 3, 5, 3)
+        yield space, "omega", 3, p
+        yield space, "tensor", 2, p
+
+
+def test_section_complex_satisfies_mod_p_universal_coefficients():
+    """dim H^q(S (x) F_p) = free rank of H^q + the number of p-torsion
+    summands of H^q and of H^(q+1), the left side from F_p ranks of the
+    section differentials, the right side from p_local_cohomology."""
+    torsion_seen = 0
+    for space, kind, weight, p in _universal_coefficient_cases():
+        q_max = min(3, space.dimension)
+        cx = SectionComplex(space, _family(kind, space, weight, p, q_max), q_max)
+        dims = {q: len(cx.sections[q]) for q in range(q_max + 2)}
+        ranks = {q: _mod_p_rank(cx.diff_in_sections(q), p, dims[q])
+                 for q in range(q_max + 1)}
+        ranks[-1] = 0
+        reports = {q: cx.cohomology(q) for q in range(q_max + 1)}
+        for q in range(q_max + 1):
+            if q == q_max and dims[q + 1]:
+                continue  # H^(q_max+1) is not computed
+            above = len(reports[q + 1].torsion) if q < q_max else 0
+            assert dims[q] - ranks[q] - ranks[q - 1] == \
+                reports[q].free_rank + len(reports[q].torsion) + above, \
+                (space.name, kind, weight, p, q)
+            torsion_seen += len(reports[q].torsion)
+    assert torsion_seen >= 2
+
+
+def test_omega_reports_build_one_complex_and_one_family(monkeypatch, capsys):
+    """An omega and a v_tensor_omega report each build one SectionComplex
+    and ask for the level family at their own weight only."""
+    from padicforms import cli, derham
+    requested, built = [], []
+    real_levels, real_init = derham.omega_levels, SectionComplex.__init__
+
+    def levels(weight, prime):
+        requested.append((weight, prime))
+        return real_levels(weight, prime)
+
+    def init(self, *args):
+        built.append(type(args[1]).__name__)
+        real_init(self, *args)
+
+    monkeypatch.setattr(derham, "omega_levels", levels)
+    monkeypatch.setattr(cli, "omega_levels", levels)
+    monkeypatch.setattr(SectionComplex, "__init__", init)
+    for model, weight, family in (("omega", 4, "OmegaLevels"),
+                                  ("v_tensor_omega", 2, "TensorLevels")):
+        requested.clear()
+        built.clear()
+        code = cli.main(["cohomology", "--space", "rp2", "--model", model,
+                         "--weight", str(weight)])
+        assert code == 3, model  # both are unstable: the flags were computed
+        assert requested == [(weight, 2)], model
+        assert built == [family], model
+    capsys.readouterr()

@@ -74,7 +74,7 @@ def test_reports_do_not_mutate_shared_level_families(capsys):
         assert family._maps and family._diffs, key
         fresh = OmegaLevels(*key)
         for (n, i, k, target), rows in family._maps.items():
-            build = fresh.face_matrix if target < n else fresh.degen_matrix
+            build = fresh.face_rows if target < n else fresh.degen_rows
             assert rows == build(n, i, k), (key, n, i, k, target)
         for (n, k), rows in family._diffs.items():
             assert rows == fresh.diff_matrix(n, k), (key, n, k)

@@ -20,6 +20,7 @@ from padicforms.linalg import (
     cohomology,
     complete_basis,
     hnf_rows,
+    integer_rows,
     kernel_basis,
     lattice_membership,
     p_local_cohomology,
@@ -659,6 +660,37 @@ def test_p_local_snf_matches_fraction_elimination(p, data):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @ORACLE
 @given(data=st.data())
+def test_p_local_snf_without_u_matches_full_mode(p, data):
+    """Without U, on the cleared integer rows: the kernel columns, the free
+    columns, the diagonal and acols of the full mode.  Copies of rows (times
+    1, a p-unit or p) and zero rows are mixed in, so rows become all zero
+    during the elimination."""
+    rows = data.draw(p_integral_rows(p))
+    for _ in range(data.draw(st.integers(0, 4))):
+        src = data.draw(st.integers(-1, len(rows) - 1))
+        scale = data.draw(st.sampled_from([1, -1, p + 1, p]))
+        extra = [Fraction(0)] * len(rows[0]) if src < 0 else \
+            [scale * x for x in rows[src]]
+        rows.insert(data.draw(st.integers(0, len(rows))), extra)
+    m = len(rows[0])
+    full = p_local_snf(rows, p)
+    bare = p_local_snf(integer_rows(rows, p), p, False)
+    rank = sum(1 for d in full[1] if d)
+    assert bare[1] == full[1]
+    assert bare.free == full.free
+    assert bare.acols == full.acols
+    assert bare.kernel == [[row[j] for row in full[2]] for j in range(rank, m)]
+    assert (bare[0], bare[2], bare.uinv, bare.local) == (None,) * 4
+    held = PLocalFactorization(integer_rows(rows, p), p, m, with_u=False)
+    assert held.kernel() == PLocalFactorization(rows, p).kernel() == bare.kernel
+    assert held.rank == rank
+    with pytest.raises(ValueError, match="without U"):
+        held.solve([Fraction(0)] * len(rows))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@ORACLE
+@given(data=st.data())
 def test_p_local_snf_rejects_p_in_a_denominator(p, data):
     rows = data.draw(p_integral_rows(p))
     i = data.draw(st.integers(0, len(rows) - 1))
@@ -690,7 +722,8 @@ def test_corrupt_inverse_column_raises(monkeypatch, ring):
 def test_corrupt_p_local_inverse_column_raises(monkeypatch):
     real = linalg.p_local_snf
     monkeypatch.setattr(linalg, "p_local_snf",
-                        lambda rows, p: _corrupt_last_inverse_column(real(rows, p)))
+                        lambda rows, p, *mode: _corrupt_last_inverse_column(
+                            real(rows, p, *mode)))
     with pytest.raises(StructuralError, match="inverse column"):
         p_local_cohomology([[Fraction(2)]], [], 2)
 
