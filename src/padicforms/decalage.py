@@ -22,7 +22,6 @@ from padicforms.linalg import (
     combine_columns,
     complete_basis,
     denominator_rows,
-    fraction_rows,
     hnf_rows,
     identity_rows,
     kernel_basis,
@@ -267,12 +266,6 @@ class VLevels:
             self._degens[key] = self._structure_rows(n, n + 1, vmap, k)
         return self._degens[key]
 
-    def face_matrix(self, n, i, k):
-        return fraction_rows(self.face_rows(n, i, k), self.dims(n, k))
-
-    def degen_matrix(self, n, i, k):
-        return fraction_rows(self.degen_rows(n, i, k), self.dims(n, k))
-
     def multiply(self, n, k1, v1, k2, v2):
         src = self.shifted(n)
         amb1 = combine_columns(src.bases[k1], v1, self.space(n).n_cells(k1))
@@ -371,12 +364,6 @@ class TensorLevels:
     def degen_rows(self, n, i, k):
         return self._pointwise(self.first.degen_rows, self.second.degen_rows,
                                n, i, k, n + 1)
-
-    def face_matrix(self, n, i, k):
-        return fraction_rows(self.face_rows(n, i, k), self.dims(n, k))
-
-    def degen_matrix(self, n, i, k):
-        return fraction_rows(self.degen_rows(n, i, k), self.dims(n, k))
 
     def multiply(self, n, k1, v1, k2, v2):
         src1 = self.basis(n, k1)

@@ -609,11 +609,11 @@ def p_local_snf(rows, p, with_u=True):
 
     Without U (``with_u=False``) rows must be integer rows, each already
     cleared of its p-unit denominators (``integer_rows``).  No [A | U], U^-1,
-    scales or ``local`` are carried; U, V and ``uinv`` are None, and
-    ``kernel`` holds V's kernel columns V[:, r:] as Fraction columns.  Each
+    scales or ``local`` are carried, and U, V and ``uinv`` are None.  Each
     row differs from its full-mode counterpart by a p-unit factor, so the
     valuations, hence the pivots, the diagonal, ``free`` and V are the same.
-    A row can become zero in this mode; it is then left as it is.
+    A row can become zero in this mode; it is then left as it is.  In both
+    modes ``kernel`` holds V's kernel columns V[:, r:] as Fraction columns.
 
     ``acols`` holds A's nonzero entries by column, each row cleared of its
     denominators.  ``free`` lists the free columns F, never chosen as pivots,
@@ -720,14 +720,14 @@ def p_local_snf(rows, p, with_u=True):
         return out
 
     diag = [Fraction(pe) for pe in pes] + [zero] * (min(n, m) - k)
+    kernel = [column(j) for j in range(k, m)]
     if not with_u:
         snf = SmithForm(None, diag, None, None)
-        snf.kernel = [column(j) for j in range(k, m)]
-        snf.free, snf.acols = orig[k:], acols
+        snf.free, snf.acols, snf.kernel = orig[k:], acols, kernel
         return snf
     u = [[Fraction(num[i] * x, den[i]) if x else zero for x in a[i][m:]]
          for i in range(n)]
-    v = columns_to_rows([column(j) for j in range(m)], m)
+    v = columns_to_rows([column(j) for j in range(k)] + kernel, m)
     uinv = [{t: Fraction(*q) for t, q in w.items()} for w in uinv] + \
         [{perm[i]: Fraction(1)} for i in range(k, n)]
     snf = SmithForm(u, diag, v, uinv)
@@ -738,7 +738,7 @@ def p_local_snf(rows, p, with_u=True):
     snf.local = ([r[m:] for r in a], pes,
                  [[(r, w * x) for r, x in vcol[i].items()]
                   for i, w in enumerate(weights)], common)
-    snf.free, snf.acols = orig[k:], acols
+    snf.free, snf.acols, snf.kernel = orig[k:], acols, kernel
     return snf
 
 
@@ -771,8 +771,8 @@ class PLocalFactorization:
             ident = [[Fraction(int(r == j)) for j in range(n)] for r in range(n)]
             snf = SmithForm([], [], ident, []) if with_u else \
                 SmithForm(None, [], None, None)
-            snf.kernel = None if with_u else ident
             snf.free, snf.acols = list(range(n)), [[] for _ in range(n)]
+            snf.kernel = ident
         self.diag, self.free, self.acols = snf[1], snf.free, snf.acols
         if with_u:
             (self.u, _, self.v), self.uinv, self.local = snf, snf.uinv, snf.local
@@ -795,10 +795,9 @@ class PLocalFactorization:
         return [w.get(t, Fraction(0)) for t in range(self.nrows)]
 
     def kernel(self):
-        """Basis of the kernel over the local ring at p, as coordinate columns."""
-        if self._kernel is not None:
-            return self._kernel
-        return [[row[j] for row in self.v] for j in range(self.rank, self.ncols)]
+        """Basis of the kernel over the local ring at p, as coordinate columns
+        (V[:, r:]); the caller must not mutate them."""
+        return self._kernel
 
     def kernel_coordinates(self, x):
         """Coordinates of x in the basis ``kernel()``, or None if x is not in
