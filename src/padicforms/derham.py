@@ -420,19 +420,28 @@ class SectionComplex:
     def diff_in_sections(self, k):
         """The differential as a matrix from degree-k to degree-(k+1) sections.
 
-        It acts on each cell's block by that cell's level matrix; the blocks
-        of degree k+1 follow the same cell order.
+        It acts on each cell's block by that cell's level matrix, applied
+        column by column to the block's nonzero entries.
         """
         if k not in self._diffs:
             offs, _ = self.cell_block(k)
-            dmats = {d: self.levels.diff_matrix(d, k)
-                     for d in {d for _, d in self.cells}}
-            blocks = [(offs[name], dmats[d]) for name, d in self.cells]
+            offs_out, total_out = self.cell_block(k + 1)
+            dcols = {}
+            for d in {d for _, d in self.cells}:
+                dmat = self.levels.diff_matrix(d, k)
+                dcols[d] = [[(r, row[j]) for r, row in enumerate(dmat) if row[j]]
+                            for j in range(self.levels.dims(d, k))]
+            blocks = [(offs[name][0], offs_out[name][0], dcols[d])
+                      for name, d in self.cells]
             cols = []
             for sec in self.sections.get(k, []):
-                out = []
-                for (off, width), dmat in blocks:
-                    out.extend(mat_vec(dmat, sec[off:off + width]))
+                out = [0] * total_out
+                for off, off_out, columns in blocks:
+                    for j, entries in enumerate(columns):
+                        x = sec[off + j]
+                        if x:
+                            for r, c in entries:
+                                out[off_out + r] += c * x
                 cols.append(self.express(k + 1, out))
             self._diffs[k] = columns_to_rows(cols, len(self.sections.get(k + 1, [])))
         return self._diffs[k]

@@ -716,7 +716,7 @@ def p_local_snf(rows, p, with_u=True):
     def column(j):
         out, d = [zero] * m, vden[j]
         for r, x in vcol[j].items():
-            out[r] = Fraction(x, d)
+            out[r] = Fraction(x, d) if d != 1 else Fraction(x)
         return out
 
     diag = [Fraction(pe) for pe in pes] + [zero] * (min(n, m) - k)
