@@ -403,13 +403,6 @@ class SectionComplex:
         return PLocalFactorization(constraint_rows, self.prime, total,
                                    with_u=False)
 
-    def coordinate_weights(self, k):
-        """The weight of each ambient coordinate of degree k."""
-        out = []
-        for _, d in self.cells:
-            out.extend(self.levels.coordinate_weights(d, k))
-        return out
-
     def express(self, k, ambient_vec):
         """Coordinates of an ambient vector in the degree-k section basis."""
         sol = self._factors[k].kernel_coordinates(ambient_vec)
@@ -487,7 +480,8 @@ class SectionComplex:
         ranks, diags, dims = {-1: 0}, {-1: []}, {}
         for q in range(self.q_max + 1):
             secs, free = self.sections[q], self._factors[q].free
-            weights = self.coordinate_weights(q)
+            weights = [w for _, d in self.cells
+                       for w in self.levels.coordinate_weights(d, q)]
             keep = [j for j, f in enumerate(free) if weights[f] < top]
             free_set = set(free)
             cut = [[secs[j][r] for j in keep] for r, w in enumerate(weights)
