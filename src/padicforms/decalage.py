@@ -217,6 +217,7 @@ class VLevels:
         self._shifted = {}
         self._faces = {}
         self._degens = {}
+        self._diffs = {}
 
     def space(self, n):
         if n not in self._spaces:
@@ -231,10 +232,16 @@ class VLevels:
     def dims(self, n, k):
         return self.shifted(n).dim(k)
 
-    def diff_matrix(self, n, k):
-        mat = self.shifted(n).diff(k)
-        return [[Fraction(mat[(i, j)]) for j in range(mat.cols)]
-                for i in range(mat.rows)]
+    def diff_columns(self, n, k):
+        """d from degree k at level n as sparse columns of (row, Fraction)
+        pairs in row order; cached."""
+        if (n, k) not in self._diffs:
+            mat = self.shifted(n).diff(k)
+            cols = [[] for _ in range(mat.cols)]
+            for (i, j), v in sorted(mat.entries.items()):
+                cols[j].append((i, Fraction(v)))
+            self._diffs[(n, k)] = cols
+        return self._diffs[(n, k)]
 
     def _structure_rows(self, n, target_n, vertex_map, k):
         """Lattice-to-lattice rows of a cochain map C^k(delta^n) -> C^k(delta^m)."""
@@ -295,6 +302,7 @@ class TensorLevels:
         self.prime = first.prime
         self._basis = {}
         self._maps = {}
+        self._diffs = {}
 
     def basis(self, n, k):
         if (n, k) not in self._basis:
@@ -318,23 +326,22 @@ class TensorLevels:
         second = {j: self.second.coordinate_weights(n, j) for j in range(k + 1)}
         return [second[k - i][b] for i, _, b in self.basis(n, k)]
 
-    def diff_matrix(self, n, k):
-        src = self.basis(n, k)
-        tgt = self.basis(n, k + 1)
-        index = {t: pos for pos, t in enumerate(tgt)}
-        rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-        mats = {i: (self.first.diff_matrix(n, i), self.second.diff_matrix(n, k - i))
-                for i in {t[0] for t in src}}
-        for col, (i, a, b) in enumerate(src):
-            da, db = mats[i]
-            for r in range(len(da)):
-                if da[r][a]:
-                    rows[index[(i + 1, r, b)]][col] += da[r][a]
-            sign = (-1) ** i
-            for r in range(len(db)):
-                if db[r][b]:
-                    rows[index[(i, a, r)]][col] += sign * db[r][b]
-        return rows
+    def diff_columns(self, n, k):
+        """d(a x b) = da x b + (-1)^i a x db as sparse columns, composed from
+        the two factors' columns; cached.  The two terms land in different
+        components, so no entries collide."""
+        if (n, k) not in self._diffs:
+            index = {t: pos for pos, t in enumerate(self.basis(n, k + 1))}
+            cols = []
+            for i, a, b in self.basis(n, k):
+                sign = (-1) ** i
+                cols.append(sorted(
+                    [(index[(i + 1, r, b)], c)
+                     for r, c in self.first.diff_columns(n, i)[a]]
+                    + [(index[(i, a, r)], sign * c)
+                       for r, c in self.second.diff_columns(n, k - i)[b]]))
+            self._diffs[(n, k)] = cols
+        return self._diffs[(n, k)]
 
     def _pointwise(self, first, second, n, i, k, target_n):
         """The tensor of the two families' maps (n, i, d) -> target_n, as

@@ -98,13 +98,20 @@ class OmegaLevel:
         coeffs = {m: Fraction(c) for m, c in zip(self.basis.get(k, []), vec) if c}
         return OmegaElement(self.n, coeffs)
 
+    def diff_columns(self, k):
+        """d from degree k to degree k+1 as sparse columns: per basis vector,
+        the (row, coefficient) pairs of its image in row order.  The
+        coefficients are integers (as Fractions); weight is preserved."""
+        return [sorted((self.index[m], c) for m, c in
+                       OmegaElement.monomial(mon).differential().coeffs.items() if c)
+                for mon in self.basis.get(k, [])]
+
     def diff_matrix(self, k):
-        """Integer matrix of d from degree k to degree k+1; weight preserved."""
+        """Dense Fraction rows of d from degree k to degree k+1."""
         rows = [[Fraction(0)] * self.dims(k) for _ in range(self.dims(k + 1))]
-        for j, mon in enumerate(self.basis.get(k, [])):
-            image = OmegaElement.monomial(mon).differential()
-            for m, c in image.coeffs.items():
-                rows[self.index[m]][j] = c
+        for j, col in enumerate(self.diff_columns(k)):
+            for r, c in col:
+                rows[r][j] = c
         return rows
 
     def _closure_generators(self):
@@ -180,8 +187,9 @@ def _bounded_exponents(n, budget):
 class OmegaLevels:
     """Simplicial family of weight-truncated form lattices, with caching.
 
-    Levels and their face, degeneracy and d matrices are built on first use
-    and kept; max_level is not needed for that and is ignored.  Face and
+    Levels and their face, degeneracy and d maps are built on first use and
+    kept, the d maps as sparse columns (``diff_columns``); max_level is not
+    needed for that and is ignored.  Face and
     degeneracy maps are kept as integer rows over p-unit row denominators
     (``face_rows``, ``degen_rows``; see ``linalg.denominator_rows``);
     ``face_matrix`` and ``degen_matrix`` make dense Fraction rows from them.
@@ -208,9 +216,11 @@ class OmegaLevels:
         """The weight of each degree-k basis vector at level n, in order."""
         return [mon.weight for mon in self.level(n).basis.get(k, [])]
 
-    def diff_matrix(self, n, k):
+    def diff_columns(self, n, k):
+        """Level n's d from degree k as sparse columns (see
+        ``OmegaLevel.diff_columns``); cached."""
         if (n, k) not in self._diffs:
-            self._diffs[(n, k)] = self.level(n).diff_matrix(k)
+            self._diffs[(n, k)] = self.level(n).diff_columns(k)
         return self._diffs[(n, k)]
 
     def multiply(self, n, k1, v1, k2, v2):
@@ -419,12 +429,8 @@ class SectionComplex:
         if k not in self._diffs:
             offs, _ = self.cell_block(k)
             offs_out, total_out = self.cell_block(k + 1)
-            dcols = {}
-            for d in {d for _, d in self.cells}:
-                dmat = self.levels.diff_matrix(d, k)
-                dcols[d] = [[(r, row[j]) for r, row in enumerate(dmat) if row[j]]
-                            for j in range(self.levels.dims(d, k))]
-            blocks = [(offs[name][0], offs_out[name][0], dcols[d])
+            blocks = [(offs[name][0], offs_out[name][0],
+                       self.levels.diff_columns(d, k))
                       for name, d in self.cells]
             cols = []
             for sec in self.sections.get(k, []):
@@ -636,7 +642,7 @@ class LevelModule:
         self.bases = {}
         self._face_cache = {}
         for n in range(max_level + 1):
-            dmat = levels.diff_matrix(n, k) if cocycles else []
+            dmat = levels.level(n).diff_matrix(k) if cocycles else []
             self.factors[n] = PLocalFactorization(
                 integer_rows(dmat, self.prime), self.prime, levels.dims(n, k),
                 with_u=False)
@@ -768,7 +774,7 @@ def _connecting_valuation(levels, zmod, gen_coords, k):
     level_idx = k
     for j in range(k, 0, -1):
         lv = levels.level(level_idx)
-        dmat = levels.diff_matrix(level_idx, j - 1)
+        dmat = levels.level(level_idx).diff_matrix(j - 1)
         lift = p_local_solve(dmat, vec, prime)
         if lift is None:
             raise StructuralError("level surjectivity of d failed at truncation")

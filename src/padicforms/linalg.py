@@ -32,6 +32,7 @@ algebra of its own.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from padicforms.arith import int_valuation, valuation
@@ -46,7 +47,11 @@ class StructuralError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class SparseIntMatrix:
-    """Immutable-by-convention sparse integer matrix; absent entry means 0."""
+    """Immutable-by-convention sparse integer matrix; absent entry means 0.
+
+    Entries must be integral: ints, or numbers equal to an int (such as an
+    integral Fraction), which are stored as ints.  Anything else is a
+    ValueError."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -59,7 +64,15 @@ class SparseIntMatrix:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"index {(i, j)} out of range")
                 if v:
-                    self.entries[(i, j)] = int(v)
+                    self.entries[(i, j)] = v if type(v) is int else _integer(v)
+
+    @classmethod
+    def _checked(cls, rows, cols, entries):
+        """The matrix of a dict already checked: indices in range, values
+        nonzero ints.  Skips __init__'s second pass over the entries."""
+        mat = object.__new__(cls)
+        mat.rows, mat.cols, mat.entries = rows, cols, entries
+        return mat
 
     @classmethod
     def from_rows(cls, data, cols=None):
@@ -67,19 +80,26 @@ class SparseIntMatrix:
         if cols is None:
             cols = len(data[0]) if rows else 0
         entries = {}
+        positions = range(cols)
         for i, row in enumerate(data):
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = int(v)
-        return cls(rows, cols, entries)
+            for j in compress(positions, row):
+                v = row[j]
+                entries[(i, j)] = v if type(v) is int else _integer(v)
+        return cls._checked(rows, cols, entries)
 
     @classmethod
     def from_columns(cls, columns, rows):
         """The rows x len(columns) matrix whose j-th column is columns[j]."""
-        return cls(rows, len(columns), {(i, j): v for j, col in enumerate(columns)
-                                        for i, v in enumerate(col) if v})
+        entries = {}
+        for j, col in enumerate(columns):
+            for i, v in enumerate(col):
+                if v:
+                    if i >= rows:
+                        raise ValueError(f"index {(i, j)} out of range")
+                    entries[(i, j)] = v if type(v) is int else _integer(v)
+        return cls._checked(rows, len(columns), entries)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -123,7 +143,7 @@ class SparseIntMatrix:
             for j, s in acc.items():
                 if s:
                     entries[(i, j)] = s
-        return SparseIntMatrix(self.rows, other.cols, entries)
+        return SparseIntMatrix._checked(self.rows, other.cols, entries)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
@@ -144,13 +164,24 @@ class SparseIntMatrix:
         return not self.entries
 
 
+def _integer(v):
+    """v as an int, or ValueError if v is not integral."""
+    n = int(v)
+    if n != v:
+        raise ValueError(f"non-integral entry {v!r}")
+    return n
+
+
 def columns_to_rows(columns, nrows):
     """Dense rows of the nrows x len(columns) matrix with the given columns."""
     return [[col[r] for col in columns] for r in range(nrows)]
 
 
 def identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 # A matrix over the local ring at p can be kept as rows over denominators:

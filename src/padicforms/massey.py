@@ -34,6 +34,7 @@ from padicforms.simplicial import (
     normalized_cochain_complex,
 )
 from padicforms.products import cup_on_vectors
+from padicforms.report import dump_json
 
 
 class UndefinedMasseyProduct(ValueError):
@@ -506,7 +507,7 @@ def fixture_to_json(dga):
                             if x:
                                 cup1.append([q1, q2, i, j, r, x])
         data["cup1"] = cup1
-    return json.dumps(data, sort_keys=True, indent=1)
+    return dump_json(data)[:-1]
 
 
 def fixture_from_json(text):

@@ -42,6 +42,8 @@ SCHEMA = {
 
 def rat(x):
     """Canonical string form of an integer or Fraction."""
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
@@ -49,7 +51,7 @@ def rat(x):
 
 
 def vec(values):
-    return [rat(x) for x in values]
+    return [str(x) if type(x) is int else rat(x) for x in values]
 
 
 def group_payload(report):
@@ -192,4 +194,56 @@ def _check_type(value, want, path):
 
 
 def dump_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """obj as JSON text, byte for byte json.dumps(obj, sort_keys=True,
+    indent=1) plus a newline.  With an indent the standard library encodes in
+    pure Python, so the common shapes are written here directly."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_STR, _INT = frozenset({str}), frozenset({int})
+
+
+def _write(x, nl, out):
+    """Append the JSON of x to out; nl is a newline plus x's indent."""
+    t = type(x)
+    if t is str:
+        out.append(_encode_str(x))
+    elif t is int:
+        out.append(repr(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + " "
+        kinds = set(map(type, x))
+        if kinds == _STR or kinds == _INT:
+            out.append("[" + inner + ("," + inner).join(
+                map(_encode_str if kinds == _STR else repr, x)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and set(map(type, x)) <= _STR:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k in sorted(x):
+            out.append(sep + _encode_str(k) + ": ")
+            _write(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        # floats, tuples, non-str keys, subclasses: the standard library,
+        # re-indented (an encoded string never holds a raw newline)
+        out.append(json.dumps(x, sort_keys=True, indent=1).replace("\n", nl))

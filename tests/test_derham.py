@@ -41,6 +41,7 @@ from padicforms.linalg import (
     identity_rows,
     p_local_kernel,
 )
+from padicforms.decalage import TensorLevels, VLevels, tensor_cochain_algebra
 from padicforms.simplicial import boundary_delta, delta, rp2, sphere
 
 
@@ -444,6 +445,57 @@ def test_contraction_examples():
 
 # -- oracles for the per-cell section machinery ---------------------------------------
 
+def _dense_diff(levels, n, k):
+    """Dense Fraction rows of a level family's d at level n, built the way the
+    families built them before they kept sparse columns: the reference for
+    ``diff_columns``."""
+    if isinstance(levels, TensorLevels):
+        src, tgt = levels.basis(n, k), levels.basis(n, k + 1)
+        index = {t: pos for pos, t in enumerate(tgt)}
+        rows = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+        mats = {i: (_dense_diff(levels.first, n, i),
+                    _dense_diff(levels.second, n, k - i))
+                for i in {t[0] for t in src}}
+        for col, (i, a, b) in enumerate(src):
+            da, db = mats[i]
+            for r in range(len(da)):
+                if da[r][a]:
+                    rows[index[(i + 1, r, b)]][col] += da[r][a]
+            for r in range(len(db)):
+                if db[r][b]:
+                    rows[index[(i, a, r)]][col] += (-1) ** i * db[r][b]
+        return rows
+    if isinstance(levels, VLevels):
+        mat = levels.shifted(n).diff(k)
+        return [[Fraction(mat[(i, j)]) for j in range(mat.cols)]
+                for i in range(mat.rows)]
+    lv = levels.level(n)
+    rows = [[Fraction(0)] * lv.dims(k) for _ in range(lv.dims(k + 1))]
+    for j, mon in enumerate(lv.basis.get(k, [])):
+        for m, c in OmegaElement.monomial(mon).differential().coeffs.items():
+            rows[lv.index[m]][j] = c
+    return rows
+
+
+def test_diff_columns_match_dense_reference():
+    """Each family's sparse columns are the nonzero entries of its dense d, in
+    row order, with the same values and types."""
+    p = 2
+    omega = OmegaLevels(3, p)
+    v = VLevels(p, 2, 3)
+    families = [omega, v, tensor_cochain_algebra(v, omega, 3),
+                tensor_cochain_algebra(VLevels(3, 2, 2), OmegaLevels(2, 3), 2)]
+    for levels in families:
+        for n in range(3):
+            for k in range(4):
+                dense = _dense_diff(levels, n, k)
+                want = [[(r, row[j]) for r, row in enumerate(dense) if row[j]]
+                        for j in range(levels.dims(n, k))]
+                got = levels.diff_columns(n, k)
+                assert got == want, (levels, n, k)
+                assert [type(c) for col in got for _, c in col] == \
+                    [type(c) for col in want for _, c in col]
+
 def _frozen_ambient_diff(cx, k):
     """The dense, block-diagonal differential on the degree-k ambient block,
     kept here as the reference that the per-cell differential must match."""
@@ -451,7 +503,7 @@ def _frozen_ambient_diff(cx, k):
     offs_k1, total_k1 = cx.cell_block(k + 1)
     rows = [[Fraction(0)] * total_k for _ in range(total_k1)]
     for name, d in cx.cells:
-        dmat = cx.levels.diff_matrix(d, k)
+        dmat = _dense_diff(cx.levels, d, k)
         off_s, width = offs_k[name]
         off_t, height = offs_k1[name]
         for r in range(height):
@@ -594,7 +646,7 @@ class _FrozenExpress:
     def diff_in_sections(self, k):
         cx = self.cx
         offs, _ = cx.cell_block(k)
-        dmats = {d: cx.levels.diff_matrix(d, k) for d in {d for _, d in cx.cells}}
+        dmats = {d: _dense_diff(cx.levels, d, k) for d in {d for _, d in cx.cells}}
         cols = []
         for sec in cx.sections[k]:
             out = []

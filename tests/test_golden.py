@@ -77,4 +77,4 @@ def test_reports_do_not_mutate_shared_level_families(capsys):
             build = fresh.face_rows if target < n else fresh.degen_rows
             assert rows == build(n, i, k), (key, n, i, k, target)
         for (n, k), rows in family._diffs.items():
-            assert rows == fresh.diff_matrix(n, k), (key, n, k)
+            assert rows == fresh.diff_columns(n, k), (key, n, k)

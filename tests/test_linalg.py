@@ -76,6 +76,49 @@ def rand_matrix(rng, rows, cols, lo=-3, hi=3):
     return M([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+# -- sparse integer matrices ------------------------------------------------
+
+def test_sparse_matrix_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="non-integral"):
+        SparseIntMatrix.from_rows([[Fraction(1, 2), Fraction(3, 2)]])
+    with pytest.raises(ValueError, match="non-integral"):
+        SparseIntMatrix.from_columns([[Fraction(1, 2)]], 1)
+    with pytest.raises(ValueError, match="non-integral"):
+        SparseIntMatrix(1, 1, {(0, 0): Fraction(-5, 3)})
+    with pytest.raises(ValueError, match="out of range"):
+        SparseIntMatrix.from_columns([[0, 7]], 1)
+
+
+def test_sparse_matrix_accepts_integral_fractions_as_ints():
+    rows = SparseIntMatrix.from_rows([[Fraction(4, 2), Fraction(0), -3]])
+    cols = SparseIntMatrix.from_columns([[Fraction(4, 2)], [0], [Fraction(-3)]], 1)
+    assert rows == cols == SparseIntMatrix(1, 3, {(0, 0): 2, (0, 2): -3})
+    assert all(type(v) is int for v in rows.entries.values())
+    assert SparseIntMatrix.from_columns([[0, 0]], 1).is_zero()
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(st.lists(
+    st.integers(-3, 3) | st.integers(-4, 4).map(lambda x: Fraction(x, 2)),
+    min_size=m, max_size=m), max_size=4)))
+def test_sparse_matrix_stores_only_nonzero_ints(rows):
+    cols = len(rows[0]) if rows else 0
+    columns = [[row[j] for row in rows] for j in range(cols)]
+    if any(x != int(x) for row in rows for x in row):
+        with pytest.raises(ValueError, match="non-integral"):
+            SparseIntMatrix.from_rows(rows)
+        with pytest.raises(ValueError, match="non-integral"):
+            SparseIntMatrix.from_columns(columns, len(rows))
+        return
+    a = SparseIntMatrix.from_rows(rows)
+    b = SparseIntMatrix.from_columns(columns, len(rows))
+    assert a == b
+    for mat in (a, b, a.mul(SparseIntMatrix.from_rows(columns, len(rows)))):
+        assert all(type(v) is int and v != 0 for v in mat.entries.values())
+        assert mat.is_zero() == (not any(x for row in mat.to_rows() for x in row))
+    assert a.to_rows() == [[int(x) for x in row] for row in rows]
+
+
 # -- Smith normal form -------------------------------------------------------
 
 def test_snf_trivial_cases():

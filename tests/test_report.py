@@ -1,18 +1,22 @@
 import json
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from padicforms.derham import build_omega
 from padicforms.report import (
     dump_json,
     lattice_report,
     rat,
     validate_report,
+    vec,
 )
 
 
 def test_rational_strings():
     assert rat(3) == "3"
     assert rat(Fraction(-9, 2)) == "-9/2"
+    assert vec([0, -12, Fraction(1, 3), Fraction(6, 3)]) == ["0", "-12", "1/3", "2"]
 
 
 def test_lattice_report_schema_and_content():
@@ -38,3 +42,28 @@ def test_validator_flags_problems():
     bad2 = dict(payload)
     bad2["extra"] = 1
     assert any("unexpected" in e for e in validate_report(bad2))
+
+
+_TEXT = st.text(st.sampled_from('aZ0 "\\/\n\t\x00\x1f\x7fé€😀\ud800'), max_size=5)
+_LEAVES = (st.none() | st.booleans() | _TEXT
+           | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+           | st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _payloads(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.lists(_TEXT, max_size=4)
+            | st.lists(st.integers(), max_size=4)
+            | st.dictionaries(_TEXT, children, max_size=4)
+            | st.dictionaries(st.integers(-3, 3), children, max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(st.recursive(_LEAVES, _payloads, max_leaves=25))
+def test_dump_json_matches_stdlib(obj):
+    """Empty containers, escapes and non-ASCII in keys and values, big ints,
+    bools and None take the direct path; floats, tuples and int keys take the
+    standard library's, nested at any indent."""
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
