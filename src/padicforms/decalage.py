@@ -15,16 +15,15 @@ level families with the Koszul differential.
 from fractions import Fraction
 
 from padicforms.linalg import (
+    HermiteBasis,
     IntFactorization,
     SparseIntMatrix,
     StructuralError,
     cohomology,
     combine_columns,
-    complete_basis,
     denominator_rows,
     hnf_rows,
     identity_rows,
-    kernel_basis,
     mat_vec,
 )
 from padicforms.simplicial import delta, normalized_cochain_complex
@@ -36,15 +35,15 @@ class ShiftedComplex:
 
     bases[n] is the canonical (HNF) row basis of the degree-n lattice inside
     C^n; diffs[n] expresses the ambient differential in these bases, with
-    integer entries (checked).  Each degree keeps the factorization of its
-    basis, made on first use, for ``coordinates``.
+    integer entries (checked).  Each degree keeps a HermiteBasis reader of
+    its basis for ``coordinates``.
     """
 
     def __init__(self, base_complex, bases, label):
         self.base = base_complex
         self.bases = bases
         self.label = label
-        self._factors = {}
+        self._readers = [HermiteBasis(basis) for basis in bases]
         self.diffs = []
         for n in range(len(bases)):
             amb = base_complex.diff(n)
@@ -72,12 +71,8 @@ class ShiftedComplex:
     def coordinates(self, n, vector):
         """Integer coordinates of an ambient vector in the degree-n basis, or
         None when the vector is not in the lattice."""
-        basis = self.bases[n] if n < len(self.bases) else []
-        if not basis:
-            return None if any(vector) else []
-        if n not in self._factors:
-            self._factors[n] = IntFactorization.from_columns(basis, len(basis[0]))
-        return self._factors[n].solve(vector)
+        reader = self._readers[n] if n < len(self._readers) else HermiteBasis([])
+        return reader.coordinates(vector)
 
     def contains(self, n, vector):
         """Ambient integer vector membership in the degree-n lattice."""
@@ -93,19 +88,20 @@ def _shift_exponent_v(n, is_cocycle):
 
 
 def _shifted_lattice(complex_, p, rule):
-    """Row bases of span{p^i sigma} per degree under the given exponent rule."""
+    """Row bases of span{p^i sigma} per degree under the given exponent rule.
+
+    One Smith form U*d*V = D gives the cocycles K = V[:, r:] and a complement
+    C = V[:, :r].  Both rules give exponents a <= b, so p^a*K + p^b*C does not
+    depend on C (two complements differ by cocycles, and p^b*K is in p^a*K),
+    and neither does its canonical HNF.
+    """
     bases = []
-    top = complex_.top_degree()
-    for n in range(top + 1):
-        dim = complex_.dim(n)
-        kernel = kernel_basis(complex_.diff(n))
-        comp = complete_basis(kernel, dim)
-        rows = []
-        for col in kernel:
-            rows.append([p ** rule(n, True) * x for x in col])
-        for col in comp:
-            rows.append([p ** rule(n, False) * x for x in col])
-        bases.append(hnf_rows(rows, dim))
+    for n in range(complex_.top_degree() + 1):
+        fac = IntFactorization(complex_.diff(n))
+        a, b = p ** rule(n, True), p ** rule(n, False)
+        rows = [[(b if j < fac.rank else a) * x for x in col]
+                for j, col in enumerate(fac.V.columns())]
+        bases.append(hnf_rows(rows, complex_.dim(n)))
     return bases
 
 

@@ -354,7 +354,7 @@ def gamma_tensor_oracle(max_length, letter_degrees):
     gamma^a * gamma^b = C(a+b, a) gamma^{a+b}, and that odd-degree letters
     square to zero.  Returns a report dict.
     """
-    from padicforms.linalg import SparseIntMatrix, kernel_basis
+    from padicforms.linalg import IntFactorization, SparseIntMatrix
 
     letters = sorted(letter_degrees)
     report = {"max_length": max_length, "letters": dict(letter_degrees),
@@ -365,7 +365,7 @@ def gamma_tensor_oracle(max_length, letter_degrees):
         rows = word_symmetrization_matrix(words, letter_degrees)
         if rows:
             mat = SparseIntMatrix.from_rows(rows, len(words))
-            inv = kernel_basis(mat)
+            inv = IntFactorization(mat).kernel()
         else:
             inv = [[1 if t == s else 0 for t in range(len(words))]
                    for s in range(len(words))]

@@ -7,22 +7,21 @@ valuations of an explicit SNF solution).  Matrices are small (desk scale), so
 the algorithms favour clarity and small coefficients (minimal-pivot choice)
 over asymptotics.
 
-Factor once, solve many: each elimination engine has one factorization type,
-IntFactorization (integer SNF U*A*V = D) and PLocalFactorization (Smith form
-over the local ring at p), with ``solve`` and ``kernel`` methods.  One integer
-Smith form answers solves and kernels over Z and over Z/m alike: x = V*y
-solves A*x = 0 (mod m) iff m divides d_j*y_j for every j.  The one-shot
-functions solve_int, kernel_basis, p_local_solve and p_local_kernel wrap a
-fresh factorization; owners of a fixed matrix keep its factorization and reuse
-it; over the local ring the factorization that finds a kernel also reads
-coordinates in it.  Both Smith forms record the inverse of their left
-transform as they eliminate.  The local one is fraction-free: it eliminates
-integer rows with p-unit scales, keeps that integer form for its solves, and
-makes Fractions only for its results.  Where only the kernel, its coordinates
-or the diagonal are read, it runs without U on integer rows
-(``with_u=False``).  Cohomology over Z, Z/p^k and the local
-ring share one quotient routine; F_p has one reduced-echelon routine
-(``_gf_insert``/``_gf_reduce``) for kernels, images and class coordinates.
+One factorization per matrix: IntFactorization (integer SNF U*A*V = D) and
+PLocalFactorization (Smith form over the local ring at p) answer ``solve``,
+``kernel`` and ``kernel_coordinates``, and no basis that a factorization or an
+HNF holds is factored again.  One integer Smith form answers solves and
+kernels over Z and Z/m alike: x = V*y solves A*x = 0 (mod m) iff m divides
+d_j*y_j for every j.  Both Smith forms record the inverse of their left
+transform as they eliminate, and the integer one records V^-1 as its column
+operations: the coordinates of x in the kernel basis V[:, r:] are rows r.. of
+V^-1 times x, kept only if the kernel columns rebuild x.  An ``hnf_rows`` basis
+is read by forward substitution (HermiteBasis).  The local Smith form is
+fraction-free; where only the kernel, its coordinates or the diagonal are
+read, it runs without U on integer rows (``with_u=False``).  Cohomology over
+Z, Z/p^k and the local ring share one quotient routine, F_p has one
+reduced-echelon routine, and every report holds one ``class_coordinates``
+reader.
 
 The dense row helpers (mat_vec, combine_columns, identity_rows) and the rows
 over p-unit denominators that the level families keep (denominator_rows,
@@ -32,8 +31,8 @@ algebra of its own.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import gcd, lcm
+from itertools import compress, zip_longest
+from math import gcd, lcm, prod
 
 from padicforms.arith import int_valuation, valuation
 
@@ -154,11 +153,11 @@ class SparseIntMatrix:
                 out[i] += v * vec[j]
         return out
 
-    def column(self, j):
-        return [self.entries.get((i, j), 0) for i in range(self.rows)]
-
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        cols = [[0] * self.rows for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def is_zero(self):
         return not self.entries
@@ -258,15 +257,17 @@ class SmithForm(tuple):
 
     ``uinv[i]`` is column i of U^-1, recorded during the elimination: a row
     operation on U is a column operation on U^-1.  Readers check U*w = e_i
-    before they use a column.  ``local``, ``free``, ``acols`` and ``kernel``
-    are what PLocalFactorization reads (set by p_local_snf).
+    before they use a column.  ``vops`` (integer form only) lists the column
+    operations on V: (i, j, q) for col_i -= q * col_j and (i, j, None) for a
+    swap.  ``local``, ``free``, ``acols`` and ``kernel`` are what
+    PLocalFactorization reads (set by p_local_snf).
     """
 
     local = free = acols = kernel = None
 
-    def __new__(cls, u, d, v, uinv):
+    def __new__(cls, u, d, v, uinv, vops=None):
         self = super().__new__(cls, (u, d, v))
-        self.uinv = uinv
+        self.uinv, self.vops = uinv, vops
         return self
 
 
@@ -277,13 +278,15 @@ def smith_normal_form(mat):
     block, which keeps coefficient growth tame at this scale.  The factors
     U*mat*V == D and the divisibility chain are verified before returning.
     The result is a SmithForm: the inverse of U is recorded as U is built
-    (as dense integer columns in ``uinv``).
+    (as dense integer columns in ``uinv``), and V^-1 as V's column
+    operations (``vops``).
     """
     a = mat.to_rows()
     n, m = mat.rows, mat.cols
     u = identity_rows(n)
     v = identity_rows(m)
     w = identity_rows(n)  # w[i] is column i of U^-1
+    vops = []
 
     def row_op(i, j, q):  # row_i -= q * row_j, so col_j of U^-1 += q * col_i
         ai, aj = a[i], a[j]
@@ -300,6 +303,7 @@ def smith_normal_form(mat):
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
+        vops.append((i, j, q))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -311,6 +315,7 @@ def smith_normal_form(mat):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        vops.append((i, j, None))
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -368,11 +373,9 @@ def smith_normal_form(mat):
         k += 1
 
     # enforce the divisibility chain
-    k = 0
-    while True:
+    for _ in range(10 * (n + m) + 101):
         changed = False
-        diag = [a[i][i] for i in range(min(n, m))]
-        for i in range(len(diag) - 1):
+        for i in range(min(n, m) - 1):
             d1, d2 = a[i][i], a[i + 1][i + 1]
             if d1 and d2 and d2 % d1 != 0:
                 # fold a[i+1][i+1] into position i via one column add
@@ -399,9 +402,8 @@ def smith_normal_form(mat):
                 changed = True
         if not changed:
             break
-        k += 1
-        if k > 10 * (n + m) + 100:
-            raise StructuralError("SNF divisibility pass did not converge")
+    else:
+        raise StructuralError("SNF divisibility pass did not converge")
 
     for i in range(min(n, m)):
         if a[i][i] < 0:
@@ -411,7 +413,7 @@ def smith_normal_form(mat):
     D = SparseIntMatrix.from_rows(a, m)
     V = SparseIntMatrix.from_rows(v, m)
     _check_snf(mat, U, D, V)
-    return SmithForm(U, D, V, w)
+    return SmithForm(U, D, V, w, vops)
 
 
 def _check_snf(mat, U, D, V):
@@ -499,12 +501,13 @@ def _xgcd(a, b):
 # ---------------------------------------------------------------------------
 
 class IntFactorization:
-    """The Smith form U*A*V = D of an integer matrix A, kept for many solves."""
+    """The Smith form U*A*V = D of an integer matrix A, kept for many solves
+    and for coordinates in its own kernel basis."""
 
     def __init__(self, mat):
-        self.cols = mat.cols
+        self.cols, self._vinv = mat.cols, None
         snf = smith_normal_form(mat)
-        (self.U, D, self.V), self.uinv = snf, snf.uinv
+        (self.U, D, self.V), self.uinv, self.vops = snf, snf.uinv, snf.vops
         self.diag = [D[(i, i)] for i in range(min(mat.rows, mat.cols))]
         self.rank = sum(1 for d in self.diag if d)
 
@@ -530,11 +533,26 @@ class IntFactorization:
         the diagonal), so the columns (modulus / gcd(d_j, modulus)) * V e_j
         are a basis of that full-rank lattice.
         """
+        cols = self.V.columns()
         if not modulus:
-            return [self.V.column(j) for j in range(self.rank, self.cols)]
-        diag = self.diag + [0] * (self.cols - len(self.diag))
-        return [[modulus // gcd(d, modulus) * x for x in self.V.column(j)]
-                for j, d in enumerate(diag)]
+            return cols[self.rank:]
+        return [[modulus // gcd(d, modulus) * x for x in col]
+                for col, d in zip_longest(cols, self.diag, fillvalue=0)]
+
+    def kernel_coordinates(self, x):
+        """Coordinates y of x in the basis ``kernel()`` (rows r.. of V^-1
+        times x), or None unless the kernel columns rebuild x from them.  The
+        rows are replayed once from the recorded column operations."""
+        if self._vinv is None:
+            rows = identity_rows(self.cols)
+            for i, j, q in self.vops:
+                if q is None:
+                    rows[i], rows[j] = rows[j], rows[i]
+                else:  # col_i -= q * col_j adds q * row_i to row_j of V^-1
+                    rows[j] = [a + q * b for a, b in zip(rows[j], rows[i])]
+            self._vinv = SparseIntMatrix.from_rows(rows[self.rank:], self.cols)
+        y = self._vinv.mul_vector(x)
+        return y if self.V.mul_vector([0] * self.rank + y) == list(x) else None
 
     def solve(self, target, modulus=0):
         """One x with A*x = target, or None; free coordinates are zero.
@@ -562,30 +580,34 @@ class IntFactorization:
         return [v % modulus for v in x] if modulus else x
 
 
-def kernel_basis(mat):
-    """Saturated integer basis of ker(mat), as a list of column vectors."""
-    return IntFactorization(mat).kernel()
-
-
 def solve_int(mat, target):
     """One integer solution x of mat*x = target, or None (free coordinates 0)."""
     return IntFactorization(mat).solve(target)
 
 
-def complete_basis(columns, dim):
-    """Complete a saturated set of integer columns to a basis of Z^dim.
+class HermiteBasis:
+    """Coordinates in an ``hnf_rows`` basis, by forward substitution.
 
-    Returns the list of complementary columns; raises if the input span is not
-    a direct summand (in that case no completion exists).
+    Row k is zero before its pivot and every later row is zero there, so
+    coordinate k is what is left at pivot k divided by the pivot; a vector is
+    in the lattice iff nothing is left at the end.
     """
-    if not columns:
-        return identity_rows(dim)
-    fac = IntFactorization.from_columns(columns, dim)
-    s = len(columns)
-    if fac.diag.count(1) != s:
-        raise StructuralError("columns do not span a direct summand")
-    # mat = U^{-1} [I_s; 0] V^{-1}; complement = U^{-1} e_{s..dim}
-    return [fac.inverse_column(j) for j in range(s, dim)]
+
+    def __init__(self, rows):
+        self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+    def coordinates(self, vector):
+        """Integer coordinates of vector in the basis, or None."""
+        rest, coords = list(vector), []
+        for row in self.rows:
+            c = rest[row[0][0]] // row[0][1]
+            if c:
+                for j, x in row:
+                    rest[j] -= c * x
+            coords.append(c)
+        return None if any(rest) else coords
+
+    kernel_coordinates = coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -991,45 +1013,25 @@ class AbelianGroupReport:
     discarding prime-to-p torsion; the discarded part is kept in
     prime_to_p_torsion.  generators are vectors in the ambient cochain basis:
     first the torsion generators (matching ``torsion`` order), then the free
-    ones.  The private fields carry the quotient presentation used to answer
-    membership questions: the kernel's reader (``kernel_coordinates``), U' of
-    the relations' Smith form, and its full diagonal (prime-to-p included).
+    ones.  The private ``_reader`` answers ``class_coordinates``: a
+    _QuotientReader, or over F_p an _EchelonReader.
     """
 
     free_rank: int
     torsion: list
     generators: list
     prime_to_p_torsion: list = field(default_factory=list)
-    _kernel: object = field(default=None, repr=False)
-    _uprime: list = field(default_factory=list, repr=False)
-    _orders: list = field(default_factory=list, repr=False)
-    _gf_image: dict = field(default=None, repr=False)  # reduced echelon basis, GF path
-    _gf_prime: int = field(default=0, repr=False)
+    _reader: object = field(default=None, repr=False)
 
     def invariants(self):
         return self.free_rank, list(self.torsion)
 
     def order(self):
-        if self.free_rank:
-            return 0
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
+        return 0 if self.free_rank else prod(self.torsion)
 
     def class_coordinates(self, vector):
         """Coordinates of a cocycle's class: torsion coords mod order, then free."""
-        if self._gf_prime:
-            return _gf_reduce(self._gf_image, vector, self._gf_prime)
-        y = self._kernel_coordinates(vector)
-        z = mat_vec(self._uprime, y)
-        coords = []
-        for i, d in enumerate(self._orders):
-            if d > 1:
-                coords.append(_residue_mod(z[i], d))
-            elif d == 0:
-                coords.append(z[i])
-        return coords
+        return self._reader.class_coordinates(vector)
 
     def is_coboundary(self, vector):
         return all(c == 0 for c in self.class_coordinates(vector))
@@ -1038,60 +1040,86 @@ class AbelianGroupReport:
         return self.class_coordinates([a - b for a, b in zip(v1, v2)]) == \
             self.class_coordinates([0] * len(v1))
 
-    def _kernel_coordinates(self, vector):
-        if self._kernel is None:
-            sol = None if any(vector) else []
-        else:
-            sol = self._kernel.kernel_coordinates(vector)
-        if sol is None:
+
+class _QuotientReader:
+    """Class coordinates in span(kernel) / span(relations): z = U' * y for
+    the kernel coordinates y, each z_i reduced mod its order d_i, kept if
+    d_i = 0 (free) and dropped if d_i = 1."""
+
+    def __init__(self, kernel, uprime, orders):
+        self.kernel, self.uprime, self.orders = kernel, uprime, orders
+
+    def class_coordinates(self, vector):
+        y = self.kernel.kernel_coordinates(vector)
+        if y is None:
             raise StructuralError("vector is not a cocycle")
-        return sol
+        z = mat_vec(self.uprime, y)
+        return [_residue_mod(z[i], d) if d else z[i]
+                for i, d in enumerate(self.orders) if d != 1]
 
 
-class _KernelBasis(IntFactorization):
-    """The Smith form of a kernel basis over Z or Z/m, read by solving in it."""
+class _EchelonReader:
+    """F_p class coordinates: the vector reduced by the image's echelon basis."""
 
-    kernel_coordinates = IntFactorization.solve
+    def __init__(self, image, p):
+        self.image, self.p = image, p
+
+    def class_coordinates(self, vector):
+        return _gf_reduce(self.image, vector, self.p)
 
 
 def _residue_mod(z, d):
     """Canonical residue in [0, d) of a rational with denominator coprime to d."""
     z = Fraction(z)
-    if z.denominator == 1:
-        return z.numerator % d
-    inv = pow(z.denominator % d, -1, d)
-    return (z.numerator * inv) % d
+    return z.numerator * pow(z.denominator, -1, d) % d
 
 
-def _quotient(kfac, kernel, relations, factor):
+def _quotient(kfac, kernel, relations, factor, p, modulus=0):
     """span(kernel) / span(relations), for ambient columns over one engine.
 
-    kernel is a nonempty list of independent columns, kfac its reader (its
+    kernel is a list of independent columns, kfac its reader (its
     ``kernel_coordinates``), relations a list of columns inside their span;
     factor(columns, nrows) factors a column list in the engine of the ring.
     The relations are rewritten in kernel coordinates (raising if one leaves
-    the kernel) and brought to Smith form U' * Y * V' = D'.  Returns U' as
-    rows, the diagonal of D' padded with zeros to one entry per kernel column,
-    and the generator K * (column i of U'^-1) for every diagonal entry other
-    than 1; the columns of U'^-1 are the ones the Smith form recorded.
+    the kernel) and brought to Smith form U' * Y * V' = D'.  The reader
+    keeps U' and the diagonal, padded with zeros to one entry per kernel
+    column.  Each entry d other than 1 gives the generator K * (column i of
+    U'^-1, as recorded): free if d = 0, of order d mod a modulus, else of
+    order the p-part of d, the prime-to-p part stripped.
     """
-    s, ambient = len(kernel), len(kernel[0])
-    coords = []
-    for col in relations:
-        sol = kfac.kernel_coordinates(col)
-        if sol is None:
-            raise StructuralError("image does not land in the kernel")
-        coords.append(sol)
-    if not coords:
-        gens = {i: list(kernel[i]) for i in range(s)}
-        return identity_rows(s), [0] * s, gens
+    s = len(kernel)
+    coords = [kfac.kernel_coordinates(col) for col in relations]
+    if None in coords:
+        raise StructuralError("image does not land in the kernel")
+    if not coords:  # the kernel basis is free
+        reader = _QuotientReader(kfac, identity_rows(s), [0] * s)
+        return AbelianGroupReport(s, [], [list(col) for col in kernel], _reader=reader)
     rfac = factor(coords, s)
-    orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
-    gens = {}
+    orders = [int(d) for d in rfac.diag] + [0] * (s - len(rfac.diag))
+    torsion, prime_to_p, tors_gens, free_gens = [], [], [], []
     for i, d in enumerate(orders):
-        if d != 1:
-            gens[i] = combine_columns(kernel, rfac.inverse_column(i), ambient)
-    return rfac.left_rows(), orders, gens
+        if d == 1:
+            continue
+        gen = combine_columns(kernel, rfac.inverse_column(i), len(kernel[0]))
+        if d == 0:
+            free_gens.append(gen)
+        elif modulus:
+            torsion.append(d)
+            tors_gens.append([x % modulus for x in gen])
+        else:
+            # split off the prime-to-p part; cof * gen has exact order pk
+            pk = p ** int_valuation(d, p)
+            cof = d // pk
+            if cof > 1:
+                prime_to_p.append(cof)
+            if pk > 1:
+                torsion.append(pk)
+                tors_gens.append([cof * x for x in gen])
+    if free_gens and modulus:
+        raise StructuralError("mod-m cohomology must be finite")
+    return AbelianGroupReport(len(free_gens), sorted(torsion), tors_gens + free_gens,
+                              prime_to_p_torsion=sorted(prime_to_p),
+                              _reader=_QuotientReader(kfac, rfac.left_rows(), orders))
 
 
 def cohomology(d_prev, d_cur, ring, p):
@@ -1100,7 +1128,8 @@ def cohomology(d_prev, d_cur, ring, p):
     ring is "Z" (integer complex, prime-to-p torsion stripped into
     prime_to_p_torsion), "GF" (coefficients F_p) or ("Zmod", p^k).
     Composability and d_cur o d_prev == 0 are checked and raise
-    StructuralError on failure.
+    StructuralError on failure.  Over Z the kernel and its reader are one
+    factorization of d_cur; over Z/m the kernel is an HNF basis.
     """
     if d_prev.cols and d_cur.cols and d_prev.rows != d_cur.cols:
         raise StructuralError("differentials do not compose")
@@ -1114,38 +1143,15 @@ def cohomology(d_prev, d_cur, ring, p):
         # the kernel mod m is a full-rank lattice; m * Z^ambient are relations
         m = ring[1]
         kernel = hnf_rows(IntFactorization(d_cur).kernel(m), ambient)
+        kfac = HermiteBasis(kernel)
         relations += [[m if t == i else 0 for t in range(ambient)]
                       for i in range(ambient)]
     elif ring == "Z":
-        kernel = kernel_basis(d_cur)
+        m, kfac = 0, IntFactorization(d_cur)
+        kernel = kfac.kernel()
     else:
         raise ValueError(f"unknown ring tag {ring!r}")
-    if not kernel:
-        return AbelianGroupReport(0, [], [])
-    kfac = _KernelBasis(SparseIntMatrix.from_columns(kernel, ambient))
-    uprime, orders, gens = _quotient(kfac, kernel, relations,
-                                     IntFactorization.from_columns)
-    torsion, prime_to_p, tors_gens, free_gens = [], [], [], []
-    for i, d in enumerate(orders):
-        if d == 0:
-            free_gens.append(gens[i])
-        elif d > 1 and ring == "Z":
-            # split off the prime-to-p part; cof * gen has exact order pk
-            pk = p ** int_valuation(d, p)
-            cof = d // pk
-            if cof > 1:
-                prime_to_p.append(cof)
-            if pk > 1:
-                torsion.append(pk)
-                tors_gens.append([cof * x for x in gens[i]])
-        elif d > 1:
-            torsion.append(d)
-            tors_gens.append([x % m for x in gens[i]])
-    if free_gens and ring != "Z":
-        raise StructuralError("mod-m cohomology must be finite")
-    return AbelianGroupReport(len(free_gens), sorted(torsion), tors_gens + free_gens,
-                              prime_to_p_torsion=sorted(prime_to_p),
-                              _kernel=kfac, _uprime=uprime, _orders=orders)
+    return _quotient(kfac, kernel, relations, IntFactorization.from_columns, p, m)
 
 
 def p_local_cohomology(d_prev, d_cur, p):
@@ -1161,19 +1167,9 @@ def p_local_cohomology(d_prev, d_cur, p):
         raise StructuralError("differentials do not compose")
     # _quotient reads d only through kernel_coordinates: no U is needed
     dfac = PLocalFactorization(integer_rows(d_cur, p), p, ncols, with_u=False)
-    kernel = dfac.kernel()
-    if not kernel:
-        return AbelianGroupReport(0, [], [])
-    relations = [list(col) for col in zip(*d_prev) if any(col)]
-    uprime, diag, gens = _quotient(
-        dfac, kernel, relations,
-        lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p))
-    orders = [p ** int(valuation(d, p)) if d else 0 for d in diag]
-    torsion = [d for d in orders if d > 1]
-    generators = [gens[i] for i, d in enumerate(orders) if d > 1] + \
-        [gens[i] for i, d in enumerate(orders) if d == 0]
-    return AbelianGroupReport(orders.count(0), sorted(torsion), generators,
-                              _kernel=dfac, _uprime=uprime, _orders=orders)
+    return _quotient(
+        dfac, dfac.kernel(), [list(col) for col in zip(*d_prev) if any(col)],
+        lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p), p)
 
 
 def _cohomology_gf(d_prev, d_cur, p):
@@ -1193,10 +1189,7 @@ def _cohomology_gf(d_prev, d_cur, p):
             break
         if _gf_insert(basis, v, p):
             reps.append(v)
-    rep = AbelianGroupReport(len(reps), [], reps)
-    rep._gf_image = image
-    rep._gf_prime = p
-    return rep
+    return AbelianGroupReport(len(reps), [], reps, _reader=_EchelonReader(image, p))
 
 
 def _gf_reduce(basis, vec, p):

@@ -173,10 +173,13 @@ class SimplicialSet:
 
     @classmethod
     def load(cls, text):
+        """The space of a text in ``dump``'s format: one level line per
+        dimension, one face line per simplex of dimension d > 0 with its d + 1
+        faces.  Anything else is a ValueError that names the line."""
         name = "space"
         levels = {}
         face_rows = {}
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -185,17 +188,23 @@ class SimplicialSet:
                 continue
             head, _, rest = line.partition(":")
             head = head.strip()
-            tokens = rest.split()
-            if head.isdigit():
-                levels[int(head)] = tokens
-            else:
-                face_rows[head] = tokens
+            rows, key = (levels, int(head)) if head.isdigit() else \
+                (face_rows, head)
+            if key in rows:
+                raise ValueError(f"line {number}: a second line for {head!r}")
+            rows[key] = number, rest.split()
         if not levels:
             raise ValueError("no simplex levels in space file")
-        top = max(levels)
-        simplices = [levels.get(d, []) for d in range(top + 1)]
+        simplices = [levels.get(d, (0, []))[1] for d in range(max(levels) + 1)]
+        dims = {s: d for d, level in enumerate(simplices) for s in level}
         faces = {}
-        for s, tokens in face_rows.items():
+        for s, (number, tokens) in face_rows.items():
+            if not dims.get(s):
+                raise ValueError(f"line {number}: {s!r} is not a simplex of "
+                                 "positive dimension")
+            if len(tokens) != dims[s] + 1:
+                raise ValueError(f"line {number}: {s!r} has {len(tokens)} "
+                                 f"faces, want {dims[s] + 1}")
             for i, tok in enumerate(tokens):
                 faces[(s, i)] = DegenerateImage.parse(tok)
         return cls(name, simplices, faces)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from padicforms import cli
+from padicforms import cli, linalg
 from padicforms.cli import main
 from padicforms.linalg import StructuralError
 from padicforms.massey import fixture_to_json, obstruction_fixture
@@ -166,6 +166,38 @@ def test_unwritable_out_file_is_configuration_error(tmp_path, capsys):
     assert captured.err.startswith(f"configuration error: cannot write {target}:")
     assert len(captured.err.splitlines()) == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("0: v w\n1: a\na: v w v\n", 4, "'a' has 3 faces, want 2"),
+    ("0: v w\n1: a\na: v w\nv: a\n", 5,
+     "'v' is not a simplex of positive dimension"),
+    ("0: v w\n1: a\na: v w\na: w v\n", 5, "a second line for 'a'"),
+    ("0: v w\n1: a\n1: a\na: v w\n", 4, "a second line for '1'"),
+], ids=["extra-face", "vertex-faces", "two-face-lines", "two-level-lines"])
+def test_malformed_space_file_is_configuration_error(tmp_path, capsys, body,
+                                                     line, message):
+    space_file = tmp_path / "bad.space"
+    space_file.write_text("space bad\n" + body)
+    code = main(["cohomology", "--space", f"@{space_file}", "--model", "singular"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"configuration error: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize("space, model, count", [
+    ("rp2", "singular", 5), ("rp2", "decalage", 8),
+    ("sphere:2", "singular", 3), ("sphere:2", "decalage", 6)])
+def test_cohomology_smith_form_counts(capsys, monkeypatch, space, model, count):
+    """Integer Smith forms per run: one per differential and one per
+    degree's relations.  A second factorization of a kernel or lattice basis
+    shows here as a larger count."""
+    real = linalg.smith_normal_form
+    calls = []
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda mat: calls.append(mat) or real(mat))
+    code, _ = run_cli(capsys, "cohomology", "--space", space, "--model", model)
+    assert (code, len(calls)) == (0, count)
 
 
 def test_space_dump_load_roundtrip(tmp_path, capsys):

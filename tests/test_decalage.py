@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicforms import decalage
 from padicforms.decalage import (
     ShiftedComplex,
     TensorLevels,
@@ -14,7 +15,15 @@ from padicforms.decalage import (
     tensor_cochain_algebra,
 )
 from padicforms.derham import OmegaLevels, SectionComplex
-from padicforms.linalg import SparseIntMatrix, fraction_rows
+from padicforms.linalg import (
+    IntFactorization,
+    SparseIntMatrix,
+    StructuralError,
+    fraction_rows,
+    hnf_rows,
+    identity_rows,
+)
+from padicforms.massey import random_space
 from padicforms.simplicial import (
     CochainComplex,
     boundary_delta,
@@ -34,6 +43,45 @@ def mat_mul(a, b):
     cols = len(b[0]) if b else 0
     return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
              for j in range(cols)] for i in range(len(a))]
+
+
+def _frozen_complete_basis(columns, dim):
+    """The complement the p-shifted lattices first used: columns s.. of U^-1
+    of a Smith form of the (saturated) kernel basis."""
+    if not columns:
+        return identity_rows(dim)
+    fac = IntFactorization.from_columns(columns, dim)
+    s = len(columns)
+    if fac.diag.count(1) != s:
+        raise StructuralError("columns do not span a direct summand")
+    return [fac.inverse_column(j) for j in range(s, dim)]
+
+
+def _frozen_shifted_lattice(complex_, p, rule):
+    """_shifted_lattice as first written: a kernel basis, then a second and a
+    third Smith form to complete it."""
+    bases = []
+    for n in range(complex_.top_degree() + 1):
+        dim = complex_.dim(n)
+        kernel = IntFactorization(complex_.diff(n)).kernel()
+        rows = [[p ** rule(n, True) * x for x in col] for col in kernel]
+        rows += [[p ** rule(n, False) * x for x in col]
+                 for col in _frozen_complete_basis(kernel, dim)]
+        bases.append(hnf_rows(rows, dim))
+    return bases
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_shifted_lattice_does_not_depend_on_the_complement(p):
+    """The complement V[:, :r] of one Smith form gives the bases that a
+    completion of the kernel gave, under both exponent rules."""
+    spaces = [rp2(), sphere(2)] + [random_space(s, 3, 5, 3) for s in range(6)] + \
+        [random_space(s, 4, 9, 6) for s in range(6)]
+    for space in spaces:
+        cx = normalized_cochain_complex(space)
+        for rule in (decalage._shift_exponent_d, decalage._shift_exponent_v):
+            assert decalage._shifted_lattice(cx, p, rule) == \
+                _frozen_shifted_lattice(cx, p, rule), (space.name, rule.__name__)
 
 
 # -- build_D -------------------------------------------------------------------

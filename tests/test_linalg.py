@@ -12,16 +12,16 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from padicforms import linalg
 from padicforms.arith import int_valuation, valuation
 from padicforms.linalg import (
+    HermiteBasis,
     IntFactorization,
     PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
     gf_kernel,
     cohomology,
-    complete_basis,
+    combine_columns,
     hnf_rows,
     integer_rows,
-    kernel_basis,
     lattice_membership,
     p_local_cohomology,
     p_local_kernel,
@@ -182,7 +182,7 @@ def test_kernel_basis_exactness():
     rng = random.Random(7)
     for _ in range(60):
         a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        ker = kernel_basis(a)
+        ker = IntFactorization(a).kernel()
         for v in ker:
             assert all(x == 0 for x in a.mul_vector(v))
         # saturation: kernel rank equals cols - rank
@@ -198,9 +198,12 @@ def test_solve_int():
 
 
 def test_complete_basis():
+    """V of one Smith form completes the kernel V[:, r:] to a basis of Z^n."""
     cols = [[1, 0, 2], [0, 1, 3]]
-    comp = complete_basis(cols, 3)
-    full = [list(c) for c in cols] + [list(c) for c in comp]
+    fac = IntFactorization(M([[2, 3, -1]]))
+    kernel, comp = fac.kernel(), fac.V.columns()[:fac.rank]
+    assert hnf_rows(kernel, 3) == hnf_rows(cols, 3)
+    full = [list(c) for c in kernel] + [list(c) for c in comp]
     assert abs(det_bareiss([list(r) for r in zip(*full)])) == 1
 
 
@@ -378,7 +381,7 @@ def test_cohomology_mod_matches_bruteforce():
         cols_a = rng.randint(0, 2)
         d_cur = rand_matrix(rng, rows_b, cols_b, -3, 3)
         if cols_a:
-            ker = kernel_basis(d_cur)
+            ker = IntFactorization(d_cur).kernel()
             if not ker:
                 continue
             cols = []
@@ -462,7 +465,7 @@ def test_p_local_exponents_are_valuations_of_invariant_factors(rows, p):
 def test_held_int_factorization_matches_one_shot(rows, data):
     mat = M(rows)
     fac = IntFactorization(mat)
-    assert fac.kernel() == kernel_basis(mat)
+    assert fac.kernel() == IntFactorization(mat).kernel()
     for _ in range(4):
         in_image = data.draw(st.booleans())
         target = mat.mul_vector(data.draw(int_vectors(mat.cols))) if in_image \
@@ -482,6 +485,64 @@ def test_held_int_factorization_matches_one_shot(rows, data):
                 assert all(0 <= x < modulus for x in held)
                 assert all((a - b) % modulus == 0
                            for a, b in zip(mat.mul_vector(held), target))
+
+
+@ORACLE
+@given(int_rows(5, 6), st.data())
+def test_int_kernel_coordinates_match_a_solve_in_the_kernel_basis(rows, data):
+    mat = M(rows)
+    fac = IntFactorization(mat)
+    kernel = fac.kernel()
+
+    def frozen(x):
+        # the reader kernel_coordinates replaced: a Smith form of the kernel
+        # basis itself, then a solve in it
+        return IntFactorization.from_columns(kernel, mat.cols).solve(x)
+
+    c = data.draw(int_vectors(len(kernel)))
+    x = combine_columns(kernel, c, mat.cols)
+    assert fac.kernel_coordinates(x) == c == frozen(x)
+    for _ in range(3):
+        x = data.draw(int_vectors(mat.cols))
+        held = fac.kernel_coordinates(x)
+        assert held == frozen(x)
+        # the kernel basis is saturated: an integer x is in its span iff A*x = 0
+        assert (held is None) == any(mat.mul_vector(x))
+
+
+@ORACLE
+@given(int_rows(5, 6))
+def test_int_kernel_rows_of_v_inverse_invert_v(rows):
+    """Rows r.. of V^-1, replayed from the column operations, read kernel
+    column j of V as e_j, and no column of V before the kernel as a kernel
+    vector."""
+    fac = IntFactorization(M(rows))
+    s = fac.cols - fac.rank
+    for j, col in enumerate(fac.V.columns()):
+        want = [int(t == j - fac.rank) for t in range(s)] if j >= fac.rank else None
+        assert fac.kernel_coordinates(col) == want
+
+
+@ORACLE
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_hermite_basis_coordinates_match_a_solve_in_the_basis(width, full, data):
+    """Forward substitution in an HNF basis against a solve through a Smith
+    form of the basis, on rank-deficient lattices and on full-rank ones (the
+    shape of a kernel mod m)."""
+    gens = data.draw(st.lists(int_vectors(width, 4), max_size=4))
+    if full:
+        m = data.draw(st.sampled_from([2, 4, 9]))
+        gens += [[m * (t == i) for t in range(width)] for i in range(width)]
+    basis = hnf_rows(gens, width)
+    assert not full or len(basis) == width
+    reader = HermiteBasis(basis)
+    solver = IntFactorization.from_columns(basis, width)
+    c = data.draw(int_vectors(len(basis)))
+    x = combine_columns(basis, c, width)
+    assert reader.coordinates(x) == c == solver.solve(x)
+    for _ in range(3):
+        x = data.draw(int_vectors(width))
+        assert reader.coordinates(x) == solver.solve(x)
 
 
 @ORACLE
@@ -583,7 +644,7 @@ def _frozen_kernel_mod(mat, m):
     for i in range(mat.rows):
         entries[(i, mat.cols + i)] = m
     big = SparseIntMatrix(mat.rows, mat.cols + mat.rows, entries)
-    return [col[:mat.cols] for col in kernel_basis(big)]
+    return [col[:mat.cols] for col in IntFactorization(big).kernel()]
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 9])
@@ -760,6 +821,24 @@ def test_corrupt_inverse_column_raises(monkeypatch, ring):
                         lambda mat: _corrupt_last_inverse_column(real(mat)))
     with pytest.raises(StructuralError, match="inverse column"):
         cohomology(M([[2]]), zero_map(0, 1), ring, 2)
+
+
+def test_corrupt_kernel_row_of_v_inverse_raises(monkeypatch):
+    """A wrong recorded column operation gives a wrong row of V^-1, and
+    coordinates from which the kernel columns do not rebuild the cocycle."""
+    real = linalg.smith_normal_form
+
+    def corrupt(mat):
+        snf = real(mat)
+        if mat.cols > 1:
+            snf.vops.append((0, 1, None))  # a swap the elimination never made
+        return snf
+
+    monkeypatch.setattr(linalg, "smith_normal_form", corrupt)
+    rep = cohomology(zero_map(2, 0), M([[1, -1]]), "Z", 2)
+    assert rep.invariants() == (1, [])
+    with pytest.raises(StructuralError, match="not a cocycle"):
+        rep.class_coordinates(rep.generators[0])
 
 
 def test_corrupt_p_local_inverse_column_raises(monkeypatch):

@@ -352,8 +352,7 @@ def _frozen_in_subgroup_mod(dga, q, vector, generators, ring):
     kind, m = ring
     cols = [list(g) for g in generators]
     d_prev = dga.diff(q - 1) if q > 0 else SparseIntMatrix.zero(dga.dim(0), 0)
-    for j in range(d_prev.cols):
-        cols.append(d_prev.column(j))
+    cols += d_prev.columns()
     dim = dga.dim(q)
     for i in range(dim):
         cols.append([m if t == i else 0 for t in range(dim)])

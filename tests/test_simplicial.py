@@ -1,6 +1,7 @@
 import pytest
 
 from padicforms.linalg import StructuralError, smith_normal_form
+from padicforms.massey import random_space
 from padicforms.simplicial import (
     Cochain,
     DegenerateImage,
@@ -89,7 +90,7 @@ def test_euler_characteristics():
 
 
 def test_dump_load_roundtrip():
-    for space in LIBRARY():
+    for space in LIBRARY() + [random_space(s, 4, 9, 6) for s in range(6)]:
         text = space.dump()
         back = SimplicialSet.load(text)
         assert back.simplices == space.simplices
