@@ -179,20 +179,29 @@ def run_cohomology(args, config):
 
 # -- massey ----------------------------------------------------------------------
 
+def _nonnegative_ints(flag, text, least, most, wants, label=None):
+    """The comma-separated integers of a flag's value, least to most (None: any)
+    of them, each >= 0; else a ConfigurationError naming the flag and what it wants."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} wants comma-separated integers, got {text!r}") from None
+    if not least <= len(values) <= (most or len(values)):
+        raise ConfigurationError(f"{flag} needs {wants}")
+    if min(values) < 0:
+        raise ConfigurationError(f"{label or flag} must be nonnegative")
+    return tuple(values)
+
+
 def run_massey(args, config):
     manifest = manifest_of(args)
-    degrees = tuple(int(x) for x in args.degrees.split(","))
-    if not (2 if args.rectify else 3) <= len(degrees) <= 3:
-        raise ConfigurationError("--degrees needs three degrees "
-                                 "(two or three with --rectify)")
-    if min(degrees) < 0:
-        raise ConfigurationError("--degrees must be nonnegative")
-    indices = None if args.classes == "zero" else \
-        [int(x) for x in args.classes.split(",")]
-    if indices is not None and len(indices) < len(degrees):
-        raise ConfigurationError("--classes needs one index per degree")
-    if indices is not None and min(indices) < 0:
-        raise ConfigurationError("--classes indices must be nonnegative")
+    degrees = _nonnegative_ints("--degrees", args.degrees,
+                                2 if args.rectify else 3, 3,
+                                "three degrees (two or three with --rectify)")
+    indices = None if args.classes == "zero" else _nonnegative_ints(
+        "--classes", args.classes, len(degrees), None, "one index per degree",
+        "--classes indices")
     if args.fixture:
         try:
             with open(args.fixture, encoding="utf-8") as fh:
@@ -230,7 +239,9 @@ def run_massey(args, config):
                                        "sq_route": _jsonable(out.get("sq_route"))})
         return payload, 0
     if args.scaling:
-        exponents = tuple(int(x) for x in args.scaling.split(","))
+        exponents = _nonnegative_ints("--scaling", args.scaling, 3, 3,
+                                      "three exponents r,s,t",
+                                      "--scaling exponents")
         ok = massey_scaling_check(dga, vectors[0], vectors[1], vectors[2],
                                   degrees, exponents, p, config.precision)
         result = triple_massey(dga, vectors[0], vectors[1], vectors[2],

@@ -33,12 +33,12 @@ from padicforms.linalg import (
     PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
+    apply_rows,
     cohomology,
     columns_to_rows,
     combine_columns,
     compose_rows,
     denominator_rows,
-    fraction_rows,
     gf_kernel,
     integer_rows,
     lattice_membership,
@@ -189,12 +189,11 @@ class OmegaLevels:
 
     Levels and their face, degeneracy and d maps are built on first use and
     kept, the d maps as sparse columns (``diff_columns``); max_level is not
-    needed for that and is ignored.  Face and
-    degeneracy maps are kept as integer rows over p-unit row denominators
-    (``face_rows``, ``degen_rows``; see ``linalg.denominator_rows``);
-    ``face_matrix`` and ``degen_matrix`` make dense Fraction rows from them.
-    Callers share the matrices handed out (see ``omega_levels``) and must not
-    mutate them.
+    needed for that and is ignored.  Face and degeneracy maps are kept only
+    as integer rows over p-unit row denominators (``face_rows``,
+    ``degen_rows``; see ``linalg.denominator_rows``), which
+    ``linalg.apply_rows`` applies to a vector.  Callers share the matrices
+    handed out (see ``omega_levels``) and must not mutate them.
     """
 
     def __init__(self, weight, prime, max_level=None):
@@ -276,12 +275,6 @@ class OmegaLevels:
     def degen_rows(self, n, i, k):
         """Rows of the i-th degeneracy on degree-k forms, level n -> n+1."""
         return self._structure_rows(self._degen_images, n, i, k, n + 1)
-
-    def face_matrix(self, n, i, k):
-        return fraction_rows(self.face_rows(n, i, k), self.dims(n, k))
-
-    def degen_matrix(self, n, i, k):
-        return fraction_rows(self.degen_rows(n, i, k), self.dims(n, k))
 
     def _structure_rows(self, images, n, i, k, target_n):
         """Level-to-level map given by the chart images, as rows over
@@ -653,8 +646,8 @@ class LevelModule:
 
     def face_matrix(self, n, i):
         if (n, i) not in self._face_cache:
-            face = self.levels.face_matrix(n, i, self.k)
-            cols = [self.factors[n - 1].kernel_coordinates(mat_vec(face, b))
+            face = self.levels.face_rows(n, i, self.k)
+            cols = [self.factors[n - 1].kernel_coordinates(apply_rows(face, b))
                     for b in self.bases[n]]
             if None in cols:
                 raise StructuralError("image escaped the level submodule")
@@ -773,21 +766,20 @@ def _connecting_valuation(levels, zmod, gen_coords, k):
     vec = combine_columns(zmod.bases[k], gen_coords, levels.dims(k, k))
     level_idx = k
     for j in range(k, 0, -1):
-        lv = levels.level(level_idx)
         dmat = levels.level(level_idx).diff_matrix(j - 1)
         lift = p_local_solve(dmat, vec, prime)
         if lift is None:
             raise StructuralError("level surjectivity of d failed at truncation")
         # push the lift into the Moore complex: strip s_{i-1} d_i parts
         for i in range(level_idx, 0, -1):
-            face = mat_vec(levels.face_matrix(level_idx, i, j - 1), lift)
-            degen = mat_vec(levels.degen_matrix(level_idx - 1, i - 1, j - 1), face)
+            face = apply_rows(levels.face_rows(level_idx, i, j - 1), lift)
+            degen = apply_rows(levels.degen_rows(level_idx - 1, i - 1, j - 1), face)
             lift = [a - b for a, b in zip(lift, degen)]
         for i in range(1, level_idx + 1):
-            img = mat_vec(levels.face_matrix(level_idx, i, j - 1), lift)
+            img = apply_rows(levels.face_rows(level_idx, i, j - 1), lift)
             if any(img):
                 raise StructuralError("Moore normalization failed")
-        vec = mat_vec(levels.face_matrix(level_idx, 0, j - 1), lift)
+        vec = apply_rows(levels.face_rows(level_idx, 0, j - 1), lift)
         level_idx -= 1
     # vec is now a degree-0 cocycle at level level_idx: a constant multiple of 1
     lv = levels.level(level_idx)

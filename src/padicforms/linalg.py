@@ -7,25 +7,28 @@ valuations of an explicit SNF solution).  Matrices are small (desk scale), so
 the algorithms favour clarity and small coefficients (minimal-pivot choice)
 over asymptotics.
 
-One factorization per matrix: IntFactorization (integer SNF U*A*V = D) and
-PLocalFactorization (Smith form over the local ring at p) answer ``solve``,
-``kernel`` and ``kernel_coordinates``, and no basis that a factorization or an
-HNF holds is factored again.  One integer Smith form answers solves and
-kernels over Z and Z/m alike: x = V*y solves A*x = 0 (mod m) iff m divides
-d_j*y_j for every j.  Both Smith forms record the inverse of their left
+One factorization per matrix: IntFactorization (integer SNF U*A*V = D)
+answers ``solve``, ``kernel`` and ``kernel_coordinates``, PLocalFactorization
+(Smith form over the local ring at p) answers ``kernel`` and
+``kernel_coordinates``, and no basis that a factorization or an HNF holds is
+factored again.  There is one solve over the local ring, lattice_membership
+(``p_local_solve`` is a call into it): x = V*D^+*U*b on the integer Smith
+form, with each coordinate's valuation checked.  One integer Smith form
+answers solves and kernels over Z and Z/m alike: x = V*y solves A*x = 0
+(mod m) iff m divides d_j*y_j for every j.  Both Smith forms record the inverse of their left
 transform as they eliminate, and the integer one records V^-1 as its column
 operations: the coordinates of x in the kernel basis V[:, r:] are rows r.. of
 V^-1 times x, kept only if the kernel columns rebuild x.  An ``hnf_rows`` basis
 is read by forward substitution (HermiteBasis).  The local Smith form is
-fraction-free; where only the kernel, its coordinates or the diagonal are
-read, it runs without U on integer rows (``with_u=False``).  Cohomology over
+fraction-free; only the quotient's relations keep U, and everywhere else it
+runs without U on integer rows (``with_u=False``).  Cohomology over
 Z, Z/p^k and the local ring share one quotient routine, F_p has one
 reduced-echelon routine, and every report holds one ``class_coordinates``
 reader.
 
 The dense row helpers (mat_vec, combine_columns, identity_rows) and the rows
 over p-unit denominators that the level families keep (denominator_rows,
-compose_rows, fraction_rows) live here too; no other module does linear
+compose_rows, apply_rows) live here too; no other module does linear
 algebra of its own.
 """
 
@@ -218,16 +221,11 @@ def compose_rows(left, right):
     return out
 
 
-def fraction_rows(rows, ncols):
-    """Dense Fraction rows of a matrix of rows over denominators."""
-    zero = Fraction(0)
-    out = []
-    for d, entries in rows:
-        row = [zero] * ncols
-        for j, x in entries:
-            row[j] = Fraction(x, d)
-        out.append(row)
-    return out
+def apply_rows(rows, vec):
+    """rows * vec for a matrix of rows over denominators, as Fractions."""
+    support = {j: x for j, x in enumerate(vec) if x}
+    return [Fraction(sum(a * support[j] for j, a in entries if j in support), d)
+            for d, entries in rows]
 
 
 def mat_vec(rows, vec):
@@ -259,11 +257,11 @@ class SmithForm(tuple):
     operation on U is a column operation on U^-1.  Readers check U*w = e_i
     before they use a column.  ``vops`` (integer form only) lists the column
     operations on V: (i, j, q) for col_i -= q * col_j and (i, j, None) for a
-    swap.  ``local``, ``free``, ``acols`` and ``kernel`` are what
-    PLocalFactorization reads (set by p_local_snf).
+    swap.  ``free``, ``acols`` and ``kernel`` are what PLocalFactorization
+    reads (set by p_local_snf).
     """
 
-    local = free = acols = kernel = None
+    free = acols = kernel = None
 
     def __new__(cls, u, d, v, uinv, vops=None):
         self = super().__new__(cls, (u, d, v))
@@ -656,13 +654,11 @@ def p_local_snf(rows, p, with_u=True):
     made once, at the end.  The result is a SmithForm: the inverse of U is
     recorded as U is built, in ``uinv`` as sparse columns {row: entry}; past
     the current pivot those columns are still permuted unit vectors, so each
-    elimination step adds one entry to the pivot's column.  ``local`` holds
-    the integer rows of U, p^e_i per pivot, and V's pivot columns times the
-    scales of U's rows over one common denominator.
+    elimination step adds one entry to the pivot's column.
 
     Without U (``with_u=False``) rows must be integer rows, each already
-    cleared of its p-unit denominators (``integer_rows``).  No [A | U], U^-1,
-    scales or ``local`` are carried, and U, V and ``uinv`` are None.  Each
+    cleared of its p-unit denominators (``integer_rows``).  No [A | U], U^-1
+    or scales are carried, and U, V and ``uinv`` are None.  Each
     row differs from its full-mode counterpart by a p-unit factor, so the
     valuations, hence the pivots, the diagonal, ``free`` and V are the same.
     A row can become zero in this mode; it is then left as it is.  In both
@@ -784,32 +780,21 @@ def p_local_snf(rows, p, with_u=True):
     uinv = [{t: Fraction(*q) for t, q in w.items()} for w in uinv] + \
         [{perm[i]: Fraction(1)} for i in range(k, n)]
     snf = SmithForm(u, diag, v, uinv)
-    # x = V * y over one common denominator: pivot column i of V, times the
-    # scale of row i of U, is weights[i] / common
-    common = lcm(*(den[i] * vden[i] for i in range(k)))
-    weights = [num[i] * common // (den[i] * vden[i]) for i in range(k)]
-    snf.local = ([r[m:] for r in a], pes,
-                 [[(r, w * x) for r, x in vcol[i].items()]
-                  for i, w in enumerate(weights)], common)
     snf.free, snf.acols, snf.kernel = orig[k:], acols, kernel
     return snf
 
 
 class PLocalFactorization:
-    """p_local_snf of a p-integral matrix, kept for many solves.
+    """p_local_snf of a p-integral matrix, kept for the readers of its
+    kernel and, with U, of its left transform.
 
-    ``solve`` works on the integer form of the Smith form (``local``): the
-    integer rows of U, whose p-unit scales are folded into V's pivot columns,
-    and V's pivot columns over one common p-unit denominator.  ncols must be
-    given when rows is empty (a map into the zero module).
-
-    With ``with_u=False`` rows are integer rows (``integer_rows``) and the
-    factorization keeps no U, V or ``local``: only the diagonal, the kernel
-    columns, ``free`` and ``acols``.  It answers ``kernel`` and
-    ``kernel_coordinates`` but not ``solve``.
+    It holds the diagonal, the kernel columns, ``free`` and ``acols``, which
+    answer ``kernel`` and ``kernel_coordinates``; with U (the default) also U
+    and ``uinv``, which answer ``left_rows`` and ``inverse_column`` for the
+    relations of a quotient.  With ``with_u=False`` rows are integer rows
+    (``integer_rows``).  ncols must be given when rows is empty (a map into
+    the zero module).
     """
-
-    u = v = uinv = local = None
 
     def __init__(self, rows, p, ncols=None, with_u=True):
         if rows and ncols is not None and len(rows[0]) != ncols:
@@ -819,16 +804,14 @@ class PLocalFactorization:
         self.ncols = len(rows[0]) if rows else ncols
         if self.nrows and self.ncols:
             snf = p_local_snf(rows, p, with_u)
-        else:  # no rows or no columns: V is the identity, all of it kernel
+        else:  # no rows or no columns: U is empty, all of it kernel
             n = self.ncols
-            ident = [[Fraction(int(r == j)) for j in range(n)] for r in range(n)]
-            snf = SmithForm([], [], ident, []) if with_u else \
+            snf = SmithForm([], [], None, []) if with_u else \
                 SmithForm(None, [], None, None)
             snf.free, snf.acols = list(range(n)), [[] for _ in range(n)]
-            snf.kernel = ident
-        self.diag, self.free, self.acols = snf[1], snf.free, snf.acols
-        if with_u:
-            (self.u, _, self.v), self.uinv, self.local = snf, snf.uinv, snf.local
+            snf.kernel = [[Fraction(int(r == j)) for j in range(n)] for r in range(n)]
+        self.u, self.diag, self.uinv = snf[0], snf[1], snf.uinv
+        self.free, self.acols = snf.free, snf.acols
         self._kernel = snf.kernel
         self.rank = sum(1 for d in self.diag if d)
 
@@ -869,38 +852,6 @@ class PLocalFactorization:
         coords = [x[j] for j in self.free]
         return None if any(c.denominator % self.p == 0 for c in coords) else coords
 
-    def solve(self, target):
-        """One solution of A*x = target over the local ring at p, or None.
-
-        Free coordinates are zero; the pivot coordinates are unique, so the
-        p-integrality decision is exact.  The target is put over one
-        denominator; pivot i is p-integral iff p^e_i times that denominator's
-        p-part divides the integer dot product with row i of U.
-        """
-        if not self.nrows or not self.ncols:
-            return [Fraction(0)] * self.ncols if not any(target) else None
-        if self.local is None:
-            raise ValueError("a factorization made without U does not solve")
-        urows, pes, vcols, common = self.local
-        tden = lcm(*(t.denominator for t in target))
-        support = [(j, t.numerator * (tden // t.denominator))
-                   for j, t in enumerate(target) if t]
-        tp = self.p ** int_valuation(tden, self.p)
-        x = [0] * self.ncols
-        for i, row in enumerate(urows):
-            rhs = sum(row[j] * t for j, t in support)
-            if i >= self.rank:
-                if rhs:
-                    return None
-            elif rhs:
-                if rhs % (pes[i] * tp):
-                    return None
-                rhs //= pes[i]
-                for r, c in vcols[i]:
-                    x[r] += rhs * c
-        den, zero = tden * common, Fraction(0)
-        return [Fraction(c, den) if c else zero for c in x]
-
 
 def p_local_kernel(rows, p, ncols):
     """Basis of the kernel over the local ring at p, as coordinate columns."""
@@ -909,8 +860,9 @@ def p_local_kernel(rows, p, ncols):
 
 
 def p_local_solve(rows, target, p):
-    """One solution of rows * x = target over the local ring at p, or None."""
-    return PLocalFactorization(rows, p).solve(target)
+    """One solution of rows * x = target over the local ring at p, or None:
+    ``lattice_membership`` of the target in the span of the columns."""
+    return lattice_membership(target, [list(col) for col in zip(*rows)], p)
 
 
 # ---------------------------------------------------------------------------
@@ -957,18 +909,6 @@ def lattice_membership(target, generators, p, with_certificate=False):
     p-integral combination exists; with_certificate=True returns
     (coeffs, certificate) where exactly one of the two is None.
     """
-    if not generators:
-        feasible = all(Fraction(t) == 0 for t in target)
-        if feasible:
-            return ([], None) if with_certificate else []
-        cert = None
-        if with_certificate:
-            j = next(i for i, t in enumerate(target) if Fraction(t) != 0)
-            func = [0] * len(target)
-            func[j] = 1
-            cert = InfeasibilityCertificate(func, 0, Fraction(target[j]), p)
-        return (None, cert) if with_certificate else None
-
     dim = len(target)
     scale = lcm(*(Fraction(x).denominator
                   for vec in list(generators) + [target] for x in vec))
@@ -976,29 +916,20 @@ def lattice_membership(target, generators, p, with_certificate=False):
     t_int = [int(Fraction(x) * scale) for x in target]
 
     fac = IntFactorization.from_columns(g_int, dim)
-    rhs = fac.U.mul_vector(t_int)
     y = [Fraction(0)] * fac.cols
-    for i, c in enumerate(rhs):
+    for i, c in enumerate(fac.U.mul_vector(t_int)):
         d = fac.diag[i] if i < len(fac.diag) else 0
-        if d == 0:
-            if c != 0:
-                if with_certificate:
-                    # the functional acts on the raw (unscaled) vectors
-                    func = [Fraction(fac.U[(i, j)]) * scale for j in range(dim)]
-                    return None, InfeasibilityCertificate(func, 0, Fraction(c), p)
+        if (c and not d) or (d and valuation(Fraction(c, d), p) < 0):
+            if not with_certificate:
                 return None
-        else:
-            q = Fraction(c, d)
-            if valuation(q, p) < 0:
-                if with_certificate:
-                    func = [Fraction(fac.U[(i, j)]) * scale for j in range(dim)]
-                    return None, InfeasibilityCertificate(func, d, Fraction(c), p)
-                return None
-            y[i] = q
+            # the functional acts on the raw (unscaled) vectors; at d = 0 the
+            # obstruction is rational (modulus 0)
+            func = [Fraction(fac.U[(i, j)]) * scale for j in range(dim)]
+            return None, InfeasibilityCertificate(func, d, Fraction(c), p)
+        if d:
+            y[i] = Fraction(c, d)
     coeffs = fac.V.mul_vector(y)
-    if with_certificate:
-        return coeffs, None
-    return coeffs
+    return (coeffs, None) if with_certificate else coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -1122,14 +1053,15 @@ def _quotient(kfac, kernel, relations, factor, p, modulus=0):
                               _reader=_QuotientReader(kfac, rfac.left_rows(), orders))
 
 
-def cohomology(d_prev, d_cur, ring, p):
+def cohomology(d_prev, d_cur, ring, p, dfac=None):
     """ker(d_cur)/im(d_prev) with p-local reporting.
 
     ring is "Z" (integer complex, prime-to-p torsion stripped into
     prime_to_p_torsion), "GF" (coefficients F_p) or ("Zmod", p^k).
     Composability and d_cur o d_prev == 0 are checked and raise
     StructuralError on failure.  Over Z the kernel and its reader are one
-    factorization of d_cur; over Z/m the kernel is an HNF basis.
+    factorization of d_cur (dfac, if the caller holds it); over Z/m the
+    kernel is an HNF basis.
     """
     if d_prev.cols and d_cur.cols and d_prev.rows != d_cur.cols:
         raise StructuralError("differentials do not compose")
@@ -1139,15 +1071,16 @@ def cohomology(d_prev, d_cur, ring, p):
         return _cohomology_gf(d_prev, d_cur, p)
     ambient = d_cur.cols
     relations = [col for col in d_prev.columns() if any(col)]
+    dfac = dfac or IntFactorization(d_cur)
     if isinstance(ring, tuple) and ring[0] == "Zmod":
         # the kernel mod m is a full-rank lattice; m * Z^ambient are relations
         m = ring[1]
-        kernel = hnf_rows(IntFactorization(d_cur).kernel(m), ambient)
+        kernel = hnf_rows(dfac.kernel(m), ambient)
         kfac = HermiteBasis(kernel)
         relations += [[m if t == i else 0 for t in range(ambient)]
                       for i in range(ambient)]
     elif ring == "Z":
-        m, kfac = 0, IntFactorization(d_cur)
+        m, kfac = 0, dfac
         kernel = kfac.kernel()
     else:
         raise ValueError(f"unknown ring tag {ring!r}")

@@ -96,7 +96,7 @@ class DgaData:
                 report = cohomology(d_prev, self.diff(q), "GF", m)
             else:
                 report = cohomology(d_prev, self.diff(q), ("Zmod", m),
-                                    _modulus_prime(m))
+                                    _modulus_prime(m), self.factor(q))
             self._cohomology[key] = report
         return self._cohomology[key]
 

@@ -173,10 +173,11 @@ class SimplicialSet:
 
     @classmethod
     def load(cls, text):
-        """The space of a text in ``dump``'s format: one level line per
-        dimension, one face line per simplex of dimension d > 0 with its d + 1
-        faces.  Anything else is a ValueError that names the line."""
-        name = "space"
+        """The space of a text in ``dump``'s format: a ``space NAME`` header,
+        one level line per dimension, one face line per simplex of dimension
+        d > 0 with its d + 1 faces.  Anything else is a ValueError that names
+        the line."""
+        name = None
         levels = {}
         face_rows = {}
         for number, raw in enumerate(text.splitlines(), 1):
@@ -186,6 +187,8 @@ class SimplicialSet:
             if line.startswith("space "):
                 name = line.split(None, 1)[1]
                 continue
+            if name is None:
+                raise ValueError(f"line {number}: no 'space NAME' header before it")
             head, _, rest = line.partition(":")
             head = head.strip()
             rows, key = (levels, int(head)) if head.isdigit() else \

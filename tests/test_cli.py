@@ -125,6 +125,20 @@ def test_massey_negative_index_or_degree_is_configuration_error(argv, message,
     assert captured.err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--degrees", "1,x,1"], "--degrees wants comma-separated integers, got '1,x,1'"),
+    (["--degrees", "1,1,1", "--scaling", "1,1"], "--scaling needs three exponents r,s,t"),
+    (["--degrees", "1,1,1", "--scaling", "0,-1,0"],
+     "--scaling exponents must be nonnegative"),
+], ids=["degree-not-an-integer", "two-scaling-exponents", "negative-exponent"])
+def test_massey_malformed_list_is_configuration_error(argv, message, capsys):
+    code = main(["massey", "--space", "rp2"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 def test_missing_fixture_file_is_configuration_error(tmp_path, capsys):
     missing = tmp_path / "nonexistent"
     code = main(["massey", "--fixture", str(missing), "--degrees", "1,1,1"])
@@ -168,35 +182,47 @@ def test_unwritable_out_file_is_configuration_error(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("body, line, message", [
-    ("0: v w\n1: a\na: v w v\n", 4, "'a' has 3 faces, want 2"),
-    ("0: v w\n1: a\na: v w\nv: a\n", 5,
+@pytest.mark.parametrize("text, line, message", [
+    ("space bad\n0: v w\n1: a\na: v w v\n", 4, "'a' has 3 faces, want 2"),
+    ("space bad\n0: v w\n1: a\na: v w\nv: a\n", 5,
      "'v' is not a simplex of positive dimension"),
-    ("0: v w\n1: a\na: v w\na: w v\n", 5, "a second line for 'a'"),
-    ("0: v w\n1: a\n1: a\na: v w\n", 4, "a second line for '1'"),
-], ids=["extra-face", "vertex-faces", "two-face-lines", "two-level-lines"])
-def test_malformed_space_file_is_configuration_error(tmp_path, capsys, body,
+    ("space bad\n0: v w\n1: a\na: v w\na: w v\n", 5, "a second line for 'a'"),
+    ("space bad\n0: v w\n1: a\n1: a\na: v w\n", 4, "a second line for '1'"),
+    ("0: pt\n1: cell\ncell: pt pt\n", 1,
+     "no 'space NAME' header before it"),
+], ids=["extra-face", "vertex-faces", "two-face-lines", "two-level-lines",
+        "no-header"])
+def test_malformed_space_file_is_configuration_error(tmp_path, capsys, text,
                                                      line, message):
     space_file = tmp_path / "bad.space"
-    space_file.write_text("space bad\n" + body)
+    space_file.write_text(text)
     code = main(["cohomology", "--space", f"@{space_file}", "--model", "singular"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"configuration error: line {line}: {message}\n"
 
 
-@pytest.mark.parametrize("space, model, count", [
-    ("rp2", "singular", 5), ("rp2", "decalage", 8),
-    ("sphere:2", "singular", 3), ("sphere:2", "decalage", 6)])
-def test_cohomology_smith_form_counts(capsys, monkeypatch, space, model, count):
+@pytest.mark.parametrize("argv, count", [
+    (("cohomology", "--space", "rp2", "--model", "singular"), 5),
+    (("cohomology", "--space", "rp2", "--model", "decalage"), 8),
+    (("cohomology", "--space", "sphere:2", "--model", "singular"), 3),
+    (("cohomology", "--space", "sphere:2", "--model", "decalage"), 6),
+    (("massey", "--space", "rp2", "--degrees", "1,1,1", "--coefficients",
+      "zmod"), 3),
+    (("massey", "--space", "sphere:2", "--degrees", "1,1,1", "--classes",
+      "zero", "--scaling", "1,0,0", "--coefficients", "zmod"), 1),
+], ids=["rp2-singular-5", "rp2-decalage-8", "sphere:2-singular-3",
+        "sphere:2-decalage-6", "massey-rp2-zmod-3", "massey-sphere2-scaling-1"])
+def test_cohomology_smith_form_counts(capsys, monkeypatch, argv, count):
     """Integer Smith forms per run: one per differential and one per
-    degree's relations.  A second factorization of a kernel or lattice basis
-    shows here as a larger count."""
+    degree's relations.  A second factorization of a kernel or lattice basis,
+    or of a differential that a Massey input already holds, shows here as a
+    larger count."""
     real = linalg.smith_normal_form
     calls = []
     monkeypatch.setattr(linalg, "smith_normal_form",
                         lambda mat: calls.append(mat) or real(mat))
-    code, _ = run_cli(capsys, "cohomology", "--space", space, "--model", model)
+    code, _ = run_cli(capsys, *argv)
     assert (code, len(calls)) == (0, count)
 
 

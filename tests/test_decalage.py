@@ -19,7 +19,6 @@ from padicforms.linalg import (
     IntFactorization,
     SparseIntMatrix,
     StructuralError,
-    fraction_rows,
     hnf_rows,
     identity_rows,
 )
@@ -262,7 +261,11 @@ def test_v_levels_simplicial_identity():
     v = VLevels(2, 2, 2)
 
     def face(n, i, k):
-        return fraction_rows(v.face_rows(n, i, k), v.dims(n, k))
+        out = [[Fraction(0)] * v.dims(n, k) for _ in v.face_rows(n, i, k)]
+        for row, (d, entries) in zip(out, v.face_rows(n, i, k)):
+            for j, x in entries:
+                row[j] = Fraction(x, d)
+        return out
 
     for k in (0, 1):
         left = mat_mul(face(1, 0, k), face(2, 1, k))

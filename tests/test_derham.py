@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -35,10 +37,14 @@ from padicforms.derham import (
     stable_cohomology,
 )
 from padicforms.linalg import (
+    IntFactorization,
     PLocalFactorization,
+    apply_rows,
+    columns_to_rows,
     combine_columns,
     gf_kernel,
     identity_rows,
+    lattice_membership,
     p_local_kernel,
 )
 from padicforms.decalage import TensorLevels, VLevels, tensor_cochain_algebra
@@ -165,11 +171,28 @@ def test_face_and_degeneracy_simplicial_identities():
         for k in range(n + 1):
             for j in range(n + 1):
                 for i in range(j):
-                    left = [mat_vec(levels.face_matrix(n - 1, i, k), col)
-                            for col in _columns(levels.face_matrix(n, j, k))]
-                    right = [mat_vec(levels.face_matrix(n - 1, j - 1, k), col)
-                             for col in _columns(levels.face_matrix(n, i, k))]
+                    left = [mat_vec(_face(levels, n - 1, i, k), col)
+                            for col in _columns(_face(levels, n, j, k))]
+                    right = [mat_vec(_face(levels, n - 1, j - 1, k), col)
+                             for col in _columns(_face(levels, n, i, k))]
                     assert left == right, (p, k, i, j)
+
+
+def _dense(rows, ncols):
+    """Dense Fraction rows of a level map kept as rows over denominators."""
+    out = [[Fraction(0)] * ncols for _ in rows]
+    for row, (d, entries) in zip(out, rows):
+        for j, x in entries:
+            row[j] = Fraction(x, d)
+    return out
+
+
+def _face(levels, n, i, k):
+    return _dense(levels.face_rows(n, i, k), levels.dims(n, k))
+
+
+def _degen(levels, n, i, k):
+    return _dense(levels.degen_rows(n, i, k), levels.dims(n, k))
 
 
 def _columns(rows):
@@ -296,8 +319,8 @@ def test_omega_rp2_compatibility_relations():
         u_block = sec[oU:oU + wU]
         v_block = sec[oV:oV + wV]
         # d_2 U = d_2 V = c forces the third-face restrictions to agree
-        left = mat_vec(levels.face_matrix(2, 2, 1), u_block)
-        right = mat_vec(levels.face_matrix(2, 2, 1), v_block)
+        left = mat_vec(_face(levels, 2, 2, 1), u_block)
+        right = mat_vec(_face(levels, 2, 2, 1), v_block)
         assert left == right
 
 
@@ -563,45 +586,102 @@ def _frozen_structure_matrix(levels, n, i, k, target_n, apply_map):
 
 
 def test_face_and_degeneracy_builder_match_frozen_copies():
+    """The rows over denominators, as a dense view and through apply_rows on
+    each basis vector, against the matrices built monomial by monomial."""
     for p in (2, 3, 5):
         for w in range(1, 5):
             levels = OmegaLevels(w, p, 3)
             for n in range(4):
                 for i in range(n + 1):
                     for k in range(n + 1):
+                        maps = []
                         if n >= 1:
-                            assert levels.face_matrix(n, i, k) == \
-                                _frozen_structure_matrix(
-                                    levels, n, i, k, n - 1, omega_face)
+                            maps.append((levels.face_rows(n, i, k), n - 1, omega_face))
                         if n <= 2:
-                            assert levels.degen_matrix(n, i, k) == \
-                                _frozen_structure_matrix(
-                                    levels, n, i, k, n + 1, omega_degeneracy)
+                            maps.append((levels.degen_rows(n, i, k), n + 1,
+                                         omega_degeneracy))
+                        for rows, target_n, apply_map in maps:
+                            frozen = _frozen_structure_matrix(
+                                levels, n, i, k, target_n, apply_map)
+                            dim = levels.dims(n, k)
+                            assert _dense(rows, dim) == frozen
+                            images = [apply_rows(rows, e) for e in identity_rows(dim)]
+                            assert columns_to_rows(images, len(frozen)) == frozen
 
 
 # -- frozen copy of the express-by-refactoring path ---------------------------------
 
-def _frozen_quotient(kernel, relations, factor):
-    """The quotient routine that factors the kernel basis a second time, kept
-    here as the reference for the one that reads through the factorization
-    of d."""
+def _held_membership(basis, p):
+    """``lattice_membership(x, basis, p)`` as a function of x, with the integer
+    Smith form of the basis made once: the frozen copies below solve many
+    targets in one basis.  The basis is scaled to integers once and each
+    target by its own denominator t, so the coordinates are V * y with
+    y_i = (U * t*x)_i / (d_i * t), kept if every y_i is p-integral."""
+    if not basis:
+        return lambda x: None if any(x) else []
+    scale = lcm(*(Fraction(x).denominator for col in basis for x in col))
+    fac = IntFactorization.from_columns(
+        [[int(x * scale) for x in col] for col in basis], len(basis[0]))
+
+    def solve(x):
+        support = [(j, v) for j, v in enumerate(x) if v]
+        t = lcm(*(v.denominator for _, v in support))
+        vec = [0] * len(x)
+        for j, v in support:
+            vec[j] = v.numerator * (scale * t // v.denominator)
+        y = [0] * fac.cols
+        for i, c in enumerate(fac.U.mul_vector(vec)):
+            d = fac.diag[i] if i < len(fac.diag) else 0
+            if c and not d:
+                return None
+            if c:
+                y[i] = Fraction(c, d * t)
+                if y[i].denominator % p == 0:
+                    return None
+        return fac.V.mul_vector(y)
+
+    return solve
+
+
+def test_held_membership_is_lattice_membership():
+    rng = random.Random(0)
+    for p in (2, 3):
+        for _ in range(60):
+            n, s = rng.randint(1, 5), rng.randint(1, 4)
+            basis = [[Fraction(rng.randint(-4, 4) * p ** rng.randint(0, 2),
+                               rng.choice([1, p + 1])) for _ in range(n)]
+                     for _ in range(s)]
+            solve = _held_membership(basis, p)
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, p + 1, p]))
+                      for _ in range(s)]
+            targets = [combine_columns(basis, coeffs, n)] + [
+                [Fraction(rng.randint(-6, 6), den) for _ in range(n)]
+                for den in (1, p + 1, p)]
+            for x in targets:
+                assert solve(x) == lattice_membership(x, basis, p), (p, basis, x)
+
+
+def _frozen_quotient(kernel, relations, p):
+    """The quotient routine that solves in the kernel basis itself
+    (coordinates in a basis are unique), kept here as the reference for the
+    one that reads through the factorization of d."""
     s, ambient = len(kernel), len(kernel[0])
-    kfac = factor(kernel, ambient)
+    solve = _held_membership(kernel, p)
     coords = []
     for col in relations:
-        sol = kfac.solve(col)
+        sol = solve(col)
         assert sol is not None, "image does not land in the kernel"
         coords.append(sol)
     if not coords:
         gens = {i: list(kernel[i]) for i in range(s)}
-        return kfac, identity_rows(s), [0] * s, gens
-    rfac = factor(coords, s)
+        return solve, identity_rows(s), [0] * s, gens
+    rfac = PLocalFactorization.from_columns(coords, s, p)
     orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
     gens = {}
     for i, d in enumerate(orders):
         if d != 1:
             gens[i] = combine_columns(kernel, rfac.inverse_column(i), ambient)
-    return kfac, rfac.left_rows(), orders, gens
+    return solve, rfac.left_rows(), orders, gens
 
 
 def _frozen_p_local_cohomology(d_prev, d_cur, p):
@@ -611,15 +691,13 @@ def _frozen_p_local_cohomology(d_prev, d_cur, p):
     if not kernel:
         return (0, []), [], lambda vector: []
     relations = [list(col) for col in zip(*d_prev) if any(col)]
-    kfac, uprime, diag, gens = _frozen_quotient(
-        kernel, relations,
-        lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p))
+    solve, uprime, diag, gens = _frozen_quotient(kernel, relations, p)
     orders = [p ** int(valuation(d, p)) if d else 0 for d in diag]
     generators = [gens[i] for i, d in enumerate(orders) if d > 1] + \
         [gens[i] for i, d in enumerate(orders) if d == 0]
 
     def class_coordinates(vector):
-        y = kfac.solve(vector)
+        y = solve(vector)
         assert y is not None, "vector is not a cocycle"
         z = [Fraction(t) for t in mat_vec(uprime, y)]
         return [t.numerator * pow(t.denominator, -1, d) % d if d > 1 else t
@@ -631,15 +709,15 @@ def _frozen_p_local_cohomology(d_prev, d_cur, p):
 
 class _FrozenExpress:
     """Section coordinates, differentials and products of a SectionComplex,
-    each section basis factored a second time to solve in it."""
+    each solved for in the section basis itself."""
 
     def __init__(self, cx):
         self.cx = cx
-        self.solvers = {k: PLocalFactorization.from_columns(
-            cx.sections[k], cx.cell_block(k)[1], cx.prime) for k in cx.sections}
+        self.solvers = {k: _held_membership(cx.sections[k], cx.prime)
+                        for k in cx.sections}
 
     def express(self, k, ambient_vec):
-        sol = self.solvers[k].solve(ambient_vec)
+        sol = self.solvers[k](ambient_vec)
         assert sol is not None, "vector is not a section of the expected degree"
         return sol
 

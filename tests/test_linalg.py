@@ -238,15 +238,10 @@ def test_p_local_snf_diag_powers():
     assert exps[0] == 0
 
 
-def test_p_local_solve_without_rows_or_columns():
-    """A map into the zero module: every vector solves it, so the solution
-    is the zero vector of the source's length; a map out of it has [] only
-    for the zero target."""
-    assert PLocalFactorization([], 2, 3).solve([]) == [Fraction(0)] * 3
-    assert PLocalFactorization([], 3, 0).solve([]) == []
-    no_cols = PLocalFactorization([[], []], 2, 0)
-    assert no_cols.solve([Fraction(0), Fraction(0)]) == []
-    assert no_cols.solve([Fraction(0), Fraction(1)]) is None
+def test_p_local_solve_without_columns():
+    """A map out of the zero module has [] only for the zero target."""
+    assert p_local_solve([[], []], [Fraction(0), Fraction(0)], 2) == []
+    assert p_local_solve([[], []], [Fraction(0), Fraction(1)], 2) is None
 
 
 def test_p_local_rank_matches_integer_snf():
@@ -329,6 +324,10 @@ def test_membership_certificate():
     coeffs, cert = lattice_membership(target, [g1], 2, with_certificate=True)
     assert coeffs is None and cert is not None
     assert cert.check(target, [g1])
+    # no generators: only the zero target is reached, else a rational obstruction
+    assert lattice_membership([Fraction(0)] * 2, [], 2, with_certificate=True) == ([], None)
+    coeffs, cert = lattice_membership(target, [], 2, with_certificate=True)
+    assert coeffs is None and cert.modulus == 0 and cert.check(target, [])
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -561,8 +560,8 @@ def test_kernel_coordinates_read_off_the_free_columns(nrows, ncols, p, data):
         return [sum(r[j] * x[j] for j in range(ncols)) for r in rows]
 
     def reference(x):
-        # the solve through a second factorization, of the kernel basis itself
-        return PLocalFactorization.from_columns(kernel, ncols, p).solve(x)
+        # a solve in the kernel basis itself, whose coordinates are unique
+        return lattice_membership(x, kernel, p)
 
     c = [Fraction(t, unit) for t in data.draw(int_vectors(len(kernel)))]
     x = [sum(ci * col[r] for ci, col in zip(c, kernel)) for r in range(ncols)]
@@ -595,13 +594,8 @@ def test_held_p_local_factorization_matches_one_shot(rows, p, data):
             target = [sum(r[j] * x[j] for j in range(ncols)) for r in frac]
         else:
             target = [Fraction(t) for t in data.draw(int_vectors(len(rows)))]
-        held = fac.solve(target)
-        assert held == p_local_solve(frac, target, p)
-        if held is None:
-            assert not in_image
-        else:
-            assert all(c.denominator % p for c in held)
-            assert [sum(r[j] * held[j] for j in range(ncols)) for r in frac] == target
+        got = _check_p_local_solve(frac, target, p, _fraction_p_local_snf(frac, p))
+        assert got is not None or not in_image
 
 
 @ORACLE
@@ -718,6 +712,21 @@ def _fraction_p_local_snf(rows, p):
     return u, [a[i][i] for i in range(min(n, m))], v, uinv
 
 
+def _check_p_local_solve(rows, target, p, snf):
+    """p_local_solve against the Fraction solve through a Smith form of rows:
+    None exactly when that is None, else a p-integral solution, and the same
+    one when the columns are independent.  Returns the solution."""
+    got = p_local_solve(rows, target, p)
+    want = _fraction_solve(snf, target, p)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(Fraction(c).denominator % p for c in got)
+        assert [sum(r[j] * got[j] for j in range(len(got))) for r in rows] == target
+        if all(snf[1]) and len(snf[1]) == len(got):
+            assert got == want
+    return got
+
+
 def _fraction_solve(snf, target, p):
     """Reference: the Fraction solve against (U, diag, V) of a Smith form."""
     u, diag, v, _ = snf
@@ -750,15 +759,14 @@ def test_p_local_snf_matches_fraction_elimination(p, data):
     for i, w in enumerate(uinv):
         assert [sum(r[t] * c for t, c in w.items()) for r in u] == \
             [int(t == i) for t in range(n)]
-    fac = PLocalFactorization(rows, p)
     x = data.draw(int_vectors(m))
     image = [sum(r[j] * x[j] for j in range(m)) for r in rows]
     other = data.draw(st.lists(st.builds(Fraction, st.integers(-6, 6),
                                          st.sampled_from([p, p * p]) | p_units(p)),
                                min_size=n, max_size=n))
     for target in (image, [t / p for t in image], other):
-        assert fac.solve(target) == _fraction_solve((u, diag, v, uinv), target, p)
-    assert fac.solve(image) is not None
+        _check_p_local_solve(rows, target, p, (u, diag, v, uinv))
+    assert p_local_solve(rows, image, p) is not None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -784,12 +792,10 @@ def test_p_local_snf_without_u_matches_full_mode(p, data):
     assert bare.free == full.free
     assert bare.acols == full.acols
     assert bare.kernel == [[row[j] for row in full[2]] for j in range(rank, m)]
-    assert (bare[0], bare[2], bare.uinv, bare.local) == (None,) * 4
+    assert (bare[0], bare[2], bare.uinv) == (None,) * 3
     held = PLocalFactorization(integer_rows(rows, p), p, m, with_u=False)
     assert held.kernel() == PLocalFactorization(rows, p).kernel() == bare.kernel
     assert held.rank == rank
-    with pytest.raises(ValueError, match="without U"):
-        held.solve([Fraction(0)] * len(rows))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
