@@ -133,7 +133,12 @@ def resolve_space(token):
         except StructuralError as exc:
             raise ConfigurationError(f"bad space file {path}: {exc}") from exc
     name, _, arg = token.partition(":")
-    return standard_space(name, int(arg) if arg else None)
+    try:
+        n = int(arg) if arg else None
+    except ValueError:
+        raise ConfigurationError(
+            f"--space {token}: wants an integer after ':', got {arg!r}") from None
+    return standard_space(name, n)
 
 
 def manifest_of(args):

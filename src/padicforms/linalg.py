@@ -910,10 +910,12 @@ def lattice_membership(target, generators, p, with_certificate=False):
     (coeffs, certificate) where exactly one of the two is None.
     """
     dim = len(target)
-    scale = lcm(*(Fraction(x).denominator
-                  for vec in list(generators) + [target] for x in vec))
-    g_int = [[int(Fraction(x) * scale) for x in vec] for vec in generators]
-    t_int = [int(Fraction(x) * scale) for x in target]
+    # each nonzero entry is read once; ints and Fractions pass through as they are
+    rows = [[x if type(x) in (int, Fraction) else Fraction(x) if x else 0 for x in vec]
+            for vec in (*generators, target)]
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    *g_int, t_int = [[x.numerator * (scale // x.denominator) if x else 0 for x in row]
+                     for row in rows]
 
     fac = IntFactorization.from_columns(g_int, dim)
     y = [Fraction(0)] * fac.cols

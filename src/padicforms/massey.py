@@ -606,17 +606,11 @@ def eligible_pairs(dga, p, max_degree=2, ring=None):
     """
     ring = ring or ("GF", p)
     _, m = ring
-    classes = []
-    for q in range(1, max_degree + 1):
-        rep = dga.cohomology(q, ring)
-        for gen in rep.generators:
-            classes.append((q, [x % m for x in gen]))
-    pairs = []
-    for qa, a in classes:
-        for qb, b in classes:
-            ab = dga.mul(qa, qb, a, b)
-            ba = dga.mul(qb, qa, b, a)
-            if is_coboundary_mod(dga, qa + qb, ab, ring) and \
-                    is_coboundary_mod(dga, qa + qb, ba, ring):
-                pairs.append(((qa, a), (qb, b)))
-    return pairs
+    classes = [(q, [x % m for x in gen]) for q in range(1, max_degree + 1)
+               for gen in dga.cohomology(q, ring).generators]
+    # vanishes[i][j]: [class i][class j] = 0, each ordered product tested once
+    vanishes = [[is_coboundary_mod(dga, qa + qb, dga.mul(qa, qb, a, b), ring)
+                 for qb, b in classes] for qa, a in classes]
+    return [(classes[i], classes[j])
+            for i in range(len(classes)) for j in range(len(classes))
+            if vanishes[i][j] and vanishes[j][i]]

@@ -22,10 +22,10 @@ convention forces the signed Hirsch identity
 
 Every product reads a face-index table of its space: per (p, q, i), the
 (simplex, a-face, b-face, sign) entries of the decompositions above whose
-faces are nondegenerate, derived with vertex_face once and memoised on the
-space (Gonzalez-Diaz and Real, "Computation of cohomology operations on
-finite simplicial complexes", HHA 5, 2003).  A product is then one pass over
-the table; the signs are the ones above.
+faces are nondegenerate, read off the space's face lookup once and memoised
+on the space (Gonzalez-Diaz and Real, "Computation of cohomology operations
+on finite simplicial complexes", HHA 5, 2003).  A product is then one pass
+over the table; the signs are the ones above.
 """
 
 from padicforms.linalg import StructuralError
@@ -66,7 +66,7 @@ def interval_decompositions(p, q, i):
 
 
 def _face_table(space, p, q, i):
-    """The face-index table of cup_i on degrees (p, q); vertex_face runs only here.
+    """The face-index table of cup_i on degrees (p, q), built once per space.
 
     One entry (s, index of the a-face, index of the b-face, sign) per
     decomposition of the (p+q-i)-simplex number s whose two faces are both
@@ -74,29 +74,39 @@ def _face_table(space, p, q, i):
     decomposition is dropped.  At i = 0 each simplex has the single
     front/back entry, with sign +1.
     """
+    if (p, q, i) in space.face_tables:
+        return space.face_tables[(p, q, i)]
     n = p + q - i
-    decomps = list(interval_decompositions(p, q, i))
+    decomps = [([v for v in range(n, -1, -1) if v not in s_a],
+                [v for v in range(n, -1, -1) if v not in s_b], sign)
+               for s_a, s_b, sign in interval_decompositions(p, q, i)]
     entries = []
     for s, sigma in enumerate(space.simplices[n] if n <= space.dimension else []):
-        for s_a, s_b, sign in decomps:
-            fa = space.vertex_face(sigma, s_a)
-            if fa.is_degenerate:
-                continue
-            fb = space.vertex_face(sigma, s_b)
-            if fb.is_degenerate:
-                continue
-            entries.append((s, space.index_of(p, fa.base),
-                            space.index_of(q, fb.base), sign))
-    return tuple(entries)
+        for drop_a, drop_b, sign in decomps:
+            fa, fb = _face_base(space, sigma, drop_a), _face_base(space, sigma, drop_b)
+            if fa is not None and fb is not None:
+                entries.append((s, space.index_of(p, fa), space.index_of(q, fb), sign))
+    table = space.face_tables[(p, q, i)] = tuple(entries)
+    return table
+
+
+def _face_base(space, sigma, dropped):
+    """The base of sigma's face without the dropped vertices (largest first),
+    or None if it is degenerate: face lookups, then space.face once degenerate."""
+    for k, i in enumerate(dropped):
+        image = space.faces[(sigma, i)]
+        if image.word:
+            for j in dropped[k + 1:]:
+                image = space.face(image, j)
+            return None if image.word else image.base
+        sigma = image.base
+    return sigma
 
 
 def _product_values(space, p, q, i, va, vb, ring):
     """Values of a cup_i b from the face table, reduced into ring."""
-    table = space.face_tables.get((p, q, i))
-    if table is None:
-        table = space.face_tables[(p, q, i)] = _face_table(space, p, q, i)
     out = [0] * space.n_cells(p + q - i)
-    for s, ia, ib, sign in table:
+    for s, ia, ib, sign in space.face_tables.get((p, q, i)) or _face_table(space, p, q, i):
         x = va[ia]
         if x:
             y = vb[ib]
@@ -265,7 +275,8 @@ def cohomology_ring(space, ring, p, q_max=None):
 
     Returns (reports, products): reports[q] is an AbelianGroupReport; products
     maps (q1, i1, q2, i2) to the class coordinates of gen_{i1}^{q1} cup
-    gen_{i2}^{q2} in degree q1+q2.
+    gen_{i2}^{q2} in degree q1+q2.  A product whose factors' support masks
+    over the cup table are disjoint is zero term by term, so it is not computed.
     """
     complex_ = normalized_cochain_complex(space)
     top = q_max if q_max is not None else space.dimension
@@ -274,15 +285,27 @@ def cohomology_ring(space, ring, p, q_max=None):
     zero_coords = {}   # degree -> class coordinates of the zero cochain
     for q1 in range(top + 1):
         for q2 in range(top + 1 - q1):
-            target = reports[q1 + q2]
+            q, target, table = q1 + q2, reports[q1 + q2], _face_table(space, q1, q2, 0)
+            masks1 = _support_masks(table, 1, reports[q1].generators)
+            masks2 = _support_masks(table, 2, reports[q2].generators)
             for i1, g1 in enumerate(reports[q1].generators):
                 for i2, g2 in enumerate(reports[q2].generators):
-                    prod = _product_values(space, q1, q2, 0, g1, g2, ring)
-                    if any(prod):
-                        coords = target.class_coordinates(prod)
-                    else:
-                        if q1 + q2 not in zero_coords:
-                            zero_coords[q1 + q2] = target.class_coordinates(prod)
-                        coords = list(zero_coords[q1 + q2])
-                    products[(q1, i1, q2, i2)] = coords
+                    if masks1[i1] & masks2[i2]:
+                        prod = _product_values(space, q1, q2, 0, g1, g2, ring)
+                        if any(prod):
+                            products[(q1, i1, q2, i2)] = target.class_coordinates(prod)
+                            continue
+                    if q not in zero_coords:
+                        zero_coords[q] = target.class_coordinates([0] * space.n_cells(q))
+                    products[(q1, i1, q2, i2)] = list(zero_coords[q])
     return reports, products
+
+
+def _support_masks(table, side, vectors):
+    """Per vector, the bitmask of the table entries whose face on side (1 for
+    the a-face, 2 for the b-face) has a nonzero value.  Each entry has one
+    face per side, so the cells' masks are disjoint and add up to the union."""
+    entries_at = {}
+    for k, entry in enumerate(table):
+        entries_at[entry[side]] = entries_at.get(entry[side], 0) | 1 << k
+    return [sum(entries_at.get(c, 0) for c, x in enumerate(v) if x) for v in vectors]

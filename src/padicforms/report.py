@@ -77,10 +77,15 @@ def cohomology_report(manifest, reports, products=None, stable=None):
         "degrees": degrees,
     }
     if products is not None:
-        out["products"] = [
-            {"left": [k[0], k[1]], "right": [k[2], k[3]],
-             "coordinates": None if v is None else vec(v)}
-            for k, v in sorted(products.items())]
+        # one shared list per generator and coordinate vector: dump_json encodes each once
+        sides, coords, out["products"] = {}, {None: None}, []
+        for k, v in sorted(products.items()):
+            c = v if v is None else tuple(v)
+            if c not in coords:
+                coords[c] = vec(c)
+            out["products"].append({"left": sides.setdefault(k[:2], list(k[:2])),
+                                    "right": sides.setdefault(k[2:], list(k[2:])),
+                                    "coordinates": coords[c]})
     if stable is not None:
         out["stable"] = {str(q): bool(v) for q, v in sorted(stable.items())}
     return out
@@ -196,7 +201,8 @@ def _check_type(value, want, path):
 def dump_json(obj):
     """obj as JSON text, byte for byte json.dumps(obj, sort_keys=True,
     indent=1) plus a newline.  With an indent the standard library encodes in
-    pure Python, so the common shapes are written here directly."""
+    pure Python, so the common shapes are written here directly, and a list
+    of records such as a product table one template per entry."""
     out = []
     _write(obj, "\n", out)
     out.append("\n")
@@ -204,7 +210,38 @@ def dump_json(obj):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_STR, _INT = frozenset({str}), frozenset({int})
+_STR, _INT, _DICT = frozenset({str}), frozenset({int}), frozenset({dict})
+
+
+def _write_records(x, nl, out):
+    """Append the JSON of x, a list of dicts, and return True if all share the
+    first one's str keys and each value is an int, a str, None or a flat list
+    of ints or of strs; else append nothing and return False.  Each entry
+    fills one template, and a value object held by several is encoded once."""
+    first = x[0].keys()
+    if not first or set(map(type, first)) != _STR:
+        return False
+    keys, inner, field = sorted(first), nl + " ", nl + "  "
+    template = "{" + field + ("," + field).join(
+        _encode_str(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}"
+    texts = {}   # id of a value -> its JSON; x keeps every value alive
+    parts = []
+    for d in x:
+        if type(d) is not dict or d.keys() != first:
+            return False
+        for v in d.values():
+            if id(v) in texts:
+                continue
+            t = type(v)
+            if not (t is str or t is int or v is None or t is list and (
+                    not v or set(map(type, v)) in (_STR, _INT))):
+                return False
+            text = []
+            _write(v, field, text)
+            texts[id(v)] = text[0]
+        parts.append(template % tuple([texts[id(d[k])] for k in keys]))
+    out.append("[" + inner + ("," + inner).join(parts) + nl + "]")
+    return True
 
 
 def _write(x, nl, out):
@@ -225,6 +262,8 @@ def _write(x, nl, out):
         if kinds == _STR or kinds == _INT:
             out.append("[" + inner + ("," + inner).join(
                 map(_encode_str if kinds == _STR else repr, x)) + nl + "]")
+            return
+        if kinds == _DICT and _write_records(x, nl, out):
             return
         sep = "[" + inner
         for v in x:

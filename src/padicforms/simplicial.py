@@ -119,19 +119,6 @@ class SimplicialSet:
     def degeneracy(self, image, j):
         return DegenerateImage(_insert_degeneracy(j, image.word), image.base)
 
-    def vertex_face(self, simplex, vertices):
-        """The face of a nondegenerate simplex spanned by a vertex subset.
-
-        vertices is a sorted tuple inside {0..dim}; the missing vertices are
-        removed by face operators from the largest index down.
-        """
-        image = DegenerateImage((), simplex)
-        dim = self.dim_of(simplex)
-        removed = [i for i in range(dim + 1) if i not in vertices]
-        for i in sorted(removed, reverse=True):
-            image = self.face(image, i)
-        return image
-
     def _validate(self):
         for d in range(1, self.dimension + 1):
             for s in self.simplices[d]:

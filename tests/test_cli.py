@@ -139,6 +139,17 @@ def test_massey_malformed_list_is_configuration_error(argv, message, capsys):
     assert captured.err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("token", ["sphere:x", "delta:2x", "boundary_delta:-"])
+def test_space_argument_not_an_integer_is_configuration_error(token, capsys):
+    code = main(["cohomology", "--space", token, "--model", "singular"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    arg = token.partition(":")[2]
+    assert captured.err == (f"configuration error: --space {token}: wants an "
+                            f"integer after ':', got {arg!r}\n")
+
+
 def test_missing_fixture_file_is_configuration_error(tmp_path, capsys):
     missing = tmp_path / "nonexistent"
     code = main(["massey", "--fixture", str(missing), "--degrees", "1,1,1"])

@@ -213,6 +213,41 @@ def test_random_space_matches_frozen_copy(size):
             _frozen_random_space(seed, *size).dump(), (seed, size)
 
 
+def _frozen_eligible_pairs(dga, p, max_degree=2, ring=None):
+    """eligible_pairs as it was before each ordered product was tested once:
+    the pair (a, b) multiplies and tests both orders, and (b, a) again."""
+    ring = ring or ("GF", p)
+    _, m = ring
+    classes = []
+    for q in range(1, max_degree + 1):
+        rep = dga.cohomology(q, ring)
+        for gen in rep.generators:
+            classes.append((q, [x % m for x in gen]))
+    pairs = []
+    for qa, a in classes:
+        for qb, b in classes:
+            ab = dga.mul(qa, qb, a, b)
+            ba = dga.mul(qb, qa, b, a)
+            if massey_module.is_coboundary_mod(dga, qa + qb, ab, ring) and \
+                    massey_module.is_coboundary_mod(dga, qa + qb, ba, ring):
+                pairs.append(((qa, a), (qb, b)))
+    return pairs
+
+
+@pytest.mark.parametrize("size", [(3, 4, 2), (3, 5, 3), (5, 11, 8), (7, 20, 15)])
+def test_eligible_pairs_match_frozen_copy(size):
+    """The same pairs in the same order, over GF(2) and Z/2^8."""
+    nonempty = 0
+    for seed in range(10):
+        dga = DgaData.from_space(random_space(seed, *size))
+        for ring in (("GF", 2), ("Zmod", 256)):
+            pairs = eligible_pairs(dga, 2, ring=ring)
+            assert pairs == _frozen_eligible_pairs(dga, 2, ring=ring), \
+                (seed, size, ring)
+            nonempty += bool(pairs)
+    assert nonempty >= 5
+
+
 def test_massey_identity_on_random_spaces():
     # m(a, b, a) = [(a u_1 a) u b] modulo indeterminacy, mod 2, for every
     # eligible generator pair on seeded random complexes

@@ -1,11 +1,23 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import padicforms.products as products_module
+from padicforms import linalg
 from padicforms.massey import DgaData, eligible_pairs, random_space
+from padicforms.report import (
+    SCHEMA_VERSION,
+    cohomology_report,
+    dump_json,
+    group_payload,
+    vec,
+)
 from padicforms.simplicial import (
     Cochain,
+    DegenerateImage,
     SimplicialSet,
     basis_cochain,
     coboundary,
@@ -387,6 +399,18 @@ def frozen_decompositions(p, q, i):
         yield tuple(s_a), tuple(s_b), (-1) ** (missing_b + half)
 
 
+def frozen_vertex_face(space, simplex, vertices):
+    """SimplicialSet.vertex_face as it was before the face tables read the
+    face lookup: the face of a nondegenerate simplex spanned by a sorted
+    vertex subset, the missing vertices removed from the largest down."""
+    image = DegenerateImage((), simplex)
+    dim = space.dim_of(simplex)
+    removed = [i for i in range(dim + 1) if i not in vertices]
+    for i in sorted(removed, reverse=True):
+        image = space.face(image, i)
+    return image
+
+
 def frozen_cup(a, b):
     """Front/back product read off vertex_face on every call."""
     space = a.space
@@ -394,8 +418,8 @@ def frozen_cup(a, b):
     n = p + q
     values = []
     for sigma in (space.simplices[n] if n <= space.dimension else []):
-        front = space.vertex_face(sigma, tuple(range(p + 1)))
-        back = space.vertex_face(sigma, tuple(range(p, n + 1)))
+        front = frozen_vertex_face(space, sigma, tuple(range(p + 1)))
+        back = frozen_vertex_face(space, sigma, tuple(range(p, n + 1)))
         values.append(ring_reduce(a(front) * b(back), a.ring))
     return tuple(values)
 
@@ -412,7 +436,8 @@ def frozen_cup_i(a, b, i):
     for sigma in (space.simplices[n] if n <= space.dimension else []):
         total = 0
         for s_a, s_b, sign in decomps:
-            term = a(space.vertex_face(sigma, s_a)) * b(space.vertex_face(sigma, s_b))
+            term = (a(frozen_vertex_face(space, sigma, s_a))
+                    * b(frozen_vertex_face(space, sigma, s_b)))
             if term:
                 total += sign * term
         values.append(ring_reduce(total, a.ring))
@@ -496,42 +521,141 @@ def test_two_copies_of_one_library_space_multiply():
 # -- the face tables are built once per space ---------------------------------------------
 
 @pytest.fixture
-def vertex_face_calls(monkeypatch):
-    calls = [0]
-    original = SimplicialSet.vertex_face
+def face_table_builds(monkeypatch):
+    """The (p, q, i) of every face table built: a build, and only a build,
+    lists the interval decompositions."""
+    builds = []
+    original = products_module.interval_decompositions
 
-    def counted(self, simplex, vertices):
-        calls[0] += 1
-        return original(self, simplex, vertices)
+    def counted(p, q, i):
+        builds.append((p, q, i))
+        return original(p, q, i)
 
-    monkeypatch.setattr(SimplicialSet, "vertex_face", counted)
-    return calls
+    monkeypatch.setattr(products_module, "interval_decompositions", counted)
+    return builds
 
 
-def test_cohomology_ring_builds_each_table_once(vertex_face_calls):
+def test_cohomology_ring_builds_each_table_once(face_table_builds):
     for space in (rp2(), sphere(2), delta(3), random_space(5, 7, 20, 15)):
-        vertex_face_calls[0] = 0
+        face_table_builds.clear()
         _, first = cohomology_ring(space, "Z", 2)
-        # at most one a-face and one b-face per simplex of each (q1, q2) table
+        # at most one cup table per (q1, q2), each built once
         top = space.dimension
-        slots = sum(space.n_cells(q1 + q2)
-                    for q1 in range(top + 1) for q2 in range(top + 1 - q1))
-        assert vertex_face_calls[0] <= 2 * slots
-        vertex_face_calls[0] = 0
+        assert len(face_table_builds) == len(set(face_table_builds))
+        assert len(face_table_builds) <= (top + 1) * (top + 2) // 2
+        assert all(i == 0 for _, _, i in face_table_builds)
+        face_table_builds.clear()
         assert cohomology_ring(space, "Z", 2)[1] == first
-        assert vertex_face_calls[0] == 0
+        assert face_table_builds == []
 
 
-def test_dga_products_reuse_tables_after_eligible_pairs(vertex_face_calls):
+def test_dga_products_reuse_tables_after_eligible_pairs(face_table_builds):
     space = random_space(3, 7, 20, 15)
     dga = DgaData.from_space(space)
     pairs = eligible_pairs(dga, 2, ring=("Zmod", 256))
     assert pairs
     for (qa, a), (qb, b) in pairs:
         dga.cup1(qa, qa, a, a)
-    vertex_face_calls[0] = 0
+    face_table_builds.clear()
     for (qa, a), (qb, b) in pairs:
         dga.mul(qa, qb, a, b)
         dga.mul(qb, qa, b, a)
         dga.cup1(qa, qa, a, a)
-    assert vertex_face_calls[0] == 0
+    assert face_table_builds == []
+
+
+# -- the product table of cohomology_ring --------------------------------------------------
+
+def _frozen_cohomology_ring(space, ring, p, q_max=None):
+    """cohomology_ring as it was before products whose supports miss were
+    skipped: every generator pair is multiplied."""
+    complex_ = normalized_cochain_complex(space)
+    top = q_max if q_max is not None else space.dimension
+    reports = {q: complex_.cohomology(q, ring, p) for q in range(top + 1)}
+    products = {}
+    zero_coords = {}
+    for q1 in range(top + 1):
+        for q2 in range(top + 1 - q1):
+            target = reports[q1 + q2]
+            for i1, g1 in enumerate(reports[q1].generators):
+                for i2, g2 in enumerate(reports[q2].generators):
+                    prod = cup_on_vectors(space, q1, q2, g1, g2, ring)
+                    if any(prod):
+                        coords = target.class_coordinates(prod)
+                    else:
+                        if q1 + q2 not in zero_coords:
+                            zero_coords[q1 + q2] = target.class_coordinates(prod)
+                        coords = list(zero_coords[q1 + q2])
+                    products[(q1, i1, q2, i2)] = coords
+    return reports, products
+
+
+def _frozen_cohomology_report(manifest, reports, products):
+    """report.cohomology_report as it was before the entries shared lists."""
+    degrees = []
+    for q in sorted(reports):
+        payload = group_payload(reports[q])
+        payload["degree"] = q
+        degrees.append(payload)
+    return {
+        "version": SCHEMA_VERSION,
+        "kind": "cohomology",
+        "manifest": manifest,
+        "degrees": degrees,
+        "products": [
+            {"left": [k[0], k[1]], "right": [k[2], k[3]],
+             "coordinates": None if v is None else vec(v)}
+            for k, v in sorted(products.items())],
+    }
+
+
+# the cochain-ring benchmark's six size classes
+RING_SIZES = [(5, 11, 8), (5, 12, 9), (6, 14, 11), (6, 16, 12), (7, 18, 14), (7, 20, 15)]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), size=st.sampled_from(RING_SIZES),
+       ring=st.sampled_from(["Z", ("Zmod", 2), ("Zmod", 256)]),
+       q_max=st.sampled_from([None, 1]))
+def test_cohomology_ring_matches_frozen_copy(seed, size, ring, q_max):
+    """The products dict exactly, and the report's bytes, against frozen
+    copies and the standard library's encoder.  F_2 is ("Zmod", 2): the
+    ("GF", 2) tag of the cochain products is "GF" in cohomology, which
+    cohomology_ring does not take."""
+    space = random_space(seed, *size)
+    reports, products = cohomology_ring(space, ring, 2, q_max)
+    frozen_reports, frozen_products = _frozen_cohomology_ring(space, ring, 2, q_max)
+    assert products == frozen_products
+    assert [r.generators for r in reports.values()] == \
+        [r.generators for r in frozen_reports.values()]
+    manifest = {"space": space.name}
+    want = json.dumps(_frozen_cohomology_report(manifest, reports, products),
+                      sort_keys=True, indent=1) + "\n"
+    got = dump_json(cohomology_report(manifest, reports, products))
+    # line by line: pytest's diff of two reports this long takes minutes
+    lines = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    mismatch = next((n for n, (a, b) in enumerate(lines) if a != b), None)
+    assert mismatch is None, f"report bytes differ from line {mismatch + 1}"
+
+
+def test_product_table_work_counts(monkeypatch):
+    """Disjoint supports skip the product: 72 of 484 generator products are
+    computed on this space, and every class is still read off once per
+    nonzero product and once for zero (73 class_coordinates calls)."""
+    calls = {"products": 0, "classes": 0}
+    product_values = products_module._product_values
+    class_coordinates = linalg.AbelianGroupReport.class_coordinates
+
+    def count_products(*args):
+        calls["products"] += 1
+        return product_values(*args)
+
+    def count_classes(self, vector):
+        calls["classes"] += 1
+        return class_coordinates(self, vector)
+
+    monkeypatch.setattr(products_module, "_product_values", count_products)
+    monkeypatch.setattr(linalg.AbelianGroupReport, "class_coordinates", count_classes)
+    _, products = cohomology_ring(random_space(0, 7, 20, 15), "Z", 2)
+    assert len(products) == 484
+    assert calls == {"products": 72, "classes": 73}

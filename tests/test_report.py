@@ -50,13 +50,42 @@ _LEAVES = (st.none() | st.booleans() | _TEXT
            | st.floats(allow_nan=True, allow_infinity=True))
 
 
+# record values: the kinds the template path writes, and kinds that send the
+# whole list back to the general path (mixed and nested lists, bools, floats,
+# dicts)
+_FLAT_VALUES = (st.none() | _TEXT | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+                | st.just([]) | st.lists(st.integers(), max_size=4)
+                | st.lists(_TEXT, max_size=4))
+_OTHER_VALUES = (st.lists(st.integers() | _TEXT, min_size=2, max_size=4)
+                 | st.lists(st.lists(st.integers(), max_size=2), max_size=2)
+                 | st.booleans() | st.floats(allow_nan=False)
+                 | st.dictionaries(_TEXT, st.integers(), max_size=2))
+
+
+@st.composite
+def _records(draw):
+    """A list of dicts that share one key set, or all but one do; a value
+    may be shared by several entries, as the lists of a product table are."""
+    keys = draw(st.lists(_TEXT | st.just("%s"), min_size=1, max_size=4, unique=True))
+    kinds = _FLAT_VALUES if draw(st.booleans()) else _FLAT_VALUES | _OTHER_VALUES
+    pool = draw(st.lists(kinds, min_size=1, max_size=4))
+    values = st.sampled_from(pool) | kinds
+    out = draw(st.lists(st.fixed_dictionaries({k: values for k in keys}),
+                        min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        out.insert(draw(st.integers(0, len(out))),
+                   draw(st.dictionaries(_TEXT, kinds, max_size=3)))
+    return out
+
+
 def _payloads(children):
     return (st.lists(children, max_size=4)
             | st.lists(children, max_size=3).map(tuple)
             | st.lists(_TEXT, max_size=4)
             | st.lists(st.integers(), max_size=4)
             | st.dictionaries(_TEXT, children, max_size=4)
-            | st.dictionaries(st.integers(-3, 3), children, max_size=3))
+            | st.dictionaries(st.integers(-3, 3), children, max_size=3)
+            | _records())
 
 
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
@@ -64,6 +93,37 @@ def _payloads(children):
 def test_dump_json_matches_stdlib(obj):
     """Empty containers, escapes and non-ASCII in keys and values, big ints,
     bools and None take the direct path; floats, tuples and int keys take the
-    standard library's, nested at any indent."""
+    standard library's, nested at any indent.  Lists of dicts that share a
+    key set take the template path when every value is an int, a str, None
+    or a flat list of ints or of strs, and the general path otherwise."""
     assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_records(), st.integers(0, 3))
+def test_dump_json_records_match_stdlib(records, depth):
+    """Record lists on their own, at the indents of nested report fields."""
+    obj = records
+    for _ in range(depth):
+        obj = {"products": obj, "n": 1}
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def test_dump_json_product_table_takes_the_template_path(monkeypatch):
+    """A product table is written by the template path; a mixed list value
+    sends its list back to the general path, with the same bytes."""
+    import padicforms.report as report_module
+    taken = []
+    original = report_module._write_records
+    monkeypatch.setattr(report_module, "_write_records",
+                        lambda x, nl, out: taken.append(original(x, nl, out)) or taken[-1])
+    side = [0, 1]
+    table = [{"left": side, "right": [1, 0], "coordinates": ["0", "-3"]},
+             {"left": side, "right": side, "coordinates": None},
+             {"left": [2, 0], "right": side, "coordinates": []}]
+    for obj, path in ((table, True), (table + [dict(table[0], coordinates=[1, "1"])], False)):
+        taken.clear()
+        assert dump_json({"products": obj}) == \
+            json.dumps({"products": obj}, sort_keys=True, indent=1) + "\n"
+        assert taken == [path]
 
