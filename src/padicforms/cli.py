@@ -26,7 +26,7 @@ from padicforms.derham import (
     stable_cohomology,
 )
 from padicforms.divided import gamma_tensor_oracle
-from padicforms.linalg import StructuralError, p_local_cohomology
+from padicforms.linalg import StructuralError, p_local_cohomology, ring_modulus
 from padicforms.massey import (
     DgaData,
     UndefinedMasseyProduct,
@@ -222,7 +222,7 @@ def run_massey(args, config):
     p = config.prime
     ring = ("GF", p) if args.coefficients == "gf" else \
         ("Zmod", p ** config.precision)
-    _, modulus = ring
+    modulus = ring_modulus(ring)
 
     def class_vector(q, index):
         rep = dga.cohomology(q, ring)

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm
 
-from padicforms.arith import valuation
+from padicforms.arith import ConfigurationError, valuation
 from padicforms.divided import (
     DividedMonomial,
     LinearForm,
@@ -29,6 +29,7 @@ from padicforms.divided import (
     variable,
 )
 from padicforms.linalg import (
+    EchelonKernel,
     IntFactorization,
     PLocalFactorization,
     SparseIntMatrix,
@@ -39,7 +40,6 @@ from padicforms.linalg import (
     combine_columns,
     compose_rows,
     denominator_rows,
-    gf_kernel,
     integer_rows,
     lattice_membership,
     mat_vec,
@@ -535,10 +535,15 @@ def omega_cohomology(space, weight, q_max, prime):
     """Per-degree p-local reports with W vs W-1 stability flags and products.
 
     Returns a dict with reports, product table of generator classes, and a
-    stability flag per degree (False when the W-1 answer differs).
+    stability flag per degree (False when the W-1 answer differs).  A
+    q-form has weight >= q, so W < q_max, where the flag cannot see the
+    missing forms, is a ConfigurationError.
     """
     if weight < 2:
         raise ValueError("stability needs weight >= 2")
+    if weight < q_max:
+        raise ConfigurationError(f"weight {weight} is below degree {q_max}: omega "
+                                 f"forms of degree {q_max} need weight >= {q_max}")
     big, reports, stable = stable_cohomology(
         space, omega_levels(weight, prime), q_max)
     products = {}
@@ -849,7 +854,7 @@ def apl_mod_p(n, prime, weight):
             if k <= n else SparseIntMatrix.zero(0, forms.dims(k))
         if k > n:
             continue
-        rep = cohomology(d_prev, d_cur, "GF", prime)
+        rep = cohomology(d_prev, d_cur, ("GF", prime))
         out["dims"][k] = rep.free_rank
         out["reports"][k] = rep
     out["basis"] = forms.basis
@@ -863,8 +868,7 @@ def apl_cocycle_monomials(n, prime, weight):
     result = {}
     for k in range(n + 1):
         rows = forms.diff_rows(k)
-        ker = gf_kernel([[x % prime for x in r] for r in rows], prime,
-                        forms.dims(k))
+        ker = EchelonKernel(SparseIntMatrix.from_rows(rows, forms.dims(k)), prime).kernel()
         result[k] = (forms.basis[k], ker)
     return result
 

@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra over Z, Z/p^k and the local ring at p.
+"""Sparse exact linear algebra over Z, Z/m, F_p and the local ring at p.
 
 Everything here is deterministic and exact: integer Smith and Hermite normal
 forms with unimodular transforms, kernels, quotient presentations of
@@ -21,10 +21,14 @@ operations: the coordinates of x in the kernel basis V[:, r:] are rows r.. of
 V^-1 times x, kept only if the kernel columns rebuild x.  An ``hnf_rows`` basis
 is read by forward substitution (HermiteBasis).  The local Smith form is
 fraction-free; only the quotient's relations keep U, and everywhere else it
-runs without U on integer rows (``with_u=False``).  Cohomology over
-Z, Z/p^k and the local ring share one quotient routine, F_p has one
-reduced-echelon routine, and every report holds one ``class_coordinates``
-reader.
+runs without U on integer rows (``with_u=False``).
+
+A coefficient ring is one value, read only here: "Z", ("GF", p) or
+("Zmod", m).  Cohomology over Z, Z/m, F_p and the local ring share one
+quotient routine, and every report holds one ``class_coordinates`` reader,
+which answers the coordinates of a class in the report's generators.  Over
+F_p the kernel and the relations are reduced to echelon form mod p
+(EchelonKernel), with no integer Smith form.
 
 The dense row helpers (mat_vec, combine_columns, identity_rows) and the rows
 over p-unit denominators that the level families keep (denominator_rows,
@@ -946,8 +950,8 @@ class AbelianGroupReport:
     discarding prime-to-p torsion; the discarded part is kept in
     prime_to_p_torsion.  generators are vectors in the ambient cochain basis:
     first the torsion generators (matching ``torsion`` order), then the free
-    ones.  The private ``_reader`` answers ``class_coordinates``: a
-    _QuotientReader, or over F_p an _EchelonReader.
+    ones.  The private ``_reader``, a _QuotientReader, answers
+    ``class_coordinates``.
     """
 
     free_rank: int
@@ -991,23 +995,13 @@ class _QuotientReader:
                 for i, d in enumerate(self.orders) if d != 1]
 
 
-class _EchelonReader:
-    """F_p class coordinates: the vector reduced by the image's echelon basis."""
-
-    def __init__(self, image, p):
-        self.image, self.p = image, p
-
-    def class_coordinates(self, vector):
-        return _gf_reduce(self.image, vector, self.p)
-
-
 def _residue_mod(z, d):
     """Canonical residue in [0, d) of a rational with denominator coprime to d."""
     z = Fraction(z)
     return z.numerator * pow(z.denominator, -1, d) % d
 
 
-def _quotient(kfac, kernel, relations, factor, p, modulus=0):
+def _quotient(kfac, kernel, relations, factor, p=None, modulus=0):
     """span(kernel) / span(relations), for ambient columns over one engine.
 
     kernel is a list of independent columns, kfac its reader (its
@@ -1055,38 +1049,52 @@ def _quotient(kfac, kernel, relations, factor, p, modulus=0):
                               _reader=_QuotientReader(kfac, rfac.left_rows(), orders))
 
 
-def cohomology(d_prev, d_cur, ring, p, dfac=None):
-    """ker(d_cur)/im(d_prev) with p-local reporting.
+def ring_modulus(ring):
+    """0 for "Z", p for ("GF", p), m for ("Zmod", m); else a ValueError."""
+    if ring == "Z":
+        return 0
+    if type(ring) is tuple and len(ring) == 2 and ring[0] in ("GF", "Zmod"):
+        return ring[1]
+    raise ValueError(f"unknown ring {ring!r}")
 
-    ring is "Z" (integer complex, prime-to-p torsion stripped into
-    prime_to_p_torsion), "GF" (coefficients F_p) or ("Zmod", p^k).
-    Composability and d_cur o d_prev == 0 are checked and raise
-    StructuralError on failure.  Over Z the kernel and its reader are one
-    factorization of d_cur (dfac, if the caller holds it); over Z/m the
-    kernel is an HNF basis.
+
+def ring_reduce(value, ring):
+    m = ring_modulus(ring)
+    return value % m if m else value
+
+
+def cohomology(d_prev, d_cur, ring, p=None, dfac=None):
+    """ker(d_cur)/im(d_prev) over the ring "Z", ("GF", p) or ("Zmod", m).
+
+    Over Z, prime-to-p torsion is stripped into prime_to_p_torsion (the only
+    use of p); over F_p the group is reported as free rank.  Composability and
+    d_cur o d_prev == 0 are checked and raise StructuralError on failure.
+    Over Z and Z/m the kernel is read off the integer factorization of d_cur
+    (dfac, if given, returns the caller's); over F_p off its echelon form.
     """
     if d_prev.cols and d_cur.cols and d_prev.rows != d_cur.cols:
         raise StructuralError("differentials do not compose")
     if d_prev.cols and not d_cur.mul(d_prev).is_zero():
         raise StructuralError("d o d != 0 at this degree")
-    if ring == "GF":
-        return _cohomology_gf(d_prev, d_cur, p)
-    ambient = d_cur.cols
     relations = [col for col in d_prev.columns() if any(col)]
-    dfac = dfac or IntFactorization(d_cur)
-    if isinstance(ring, tuple) and ring[0] == "Zmod":
-        # the kernel mod m is a full-rank lattice; m * Z^ambient are relations
-        m = ring[1]
-        kernel = hnf_rows(dfac.kernel(m), ambient)
-        kfac = HermiteBasis(kernel)
-        relations += [[m if t == i else 0 for t in range(ambient)]
-                      for i in range(ambient)]
-    elif ring == "Z":
-        m, kfac = 0, dfac
-        kernel = kfac.kernel()
-    else:
-        raise ValueError(f"unknown ring tag {ring!r}")
-    return _quotient(kfac, kernel, relations, IntFactorization.from_columns, p, m)
+    dfac = dfac or (lambda: IntFactorization(d_cur))
+    if ring == "Z":
+        kfac = dfac()
+        return _quotient(kfac, kfac.kernel(), relations, IntFactorization.from_columns, p)
+    m = ring_modulus(ring)
+    if ring[0] == "GF":
+        kfac = EchelonKernel(d_cur, m)
+        group = _quotient(kfac, kfac.kernel(), relations,
+                          lambda cols, s: _EchelonRelations(cols, s, m), modulus=m)
+        # every order is p: the generators are a basis of the vector space
+        return AbelianGroupReport(len(group.generators), [], group.generators,
+                                  _reader=group._reader)
+    # the kernel mod m is a full-rank lattice; m * Z^ambient are relations
+    ambient = d_cur.cols
+    kernel = hnf_rows(dfac().kernel(m), ambient)
+    relations += [[m if t == i else 0 for t in range(ambient)] for i in range(ambient)]
+    return _quotient(HermiteBasis(kernel), kernel, relations,
+                     IntFactorization.from_columns, modulus=m)
 
 
 def p_local_cohomology(d_prev, d_cur, p):
@@ -1105,26 +1113,6 @@ def p_local_cohomology(d_prev, d_cur, p):
     return _quotient(
         dfac, dfac.kernel(), [list(col) for col in zip(*d_prev) if any(col)],
         lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p), p)
-
-
-def _cohomology_gf(d_prev, d_cur, p):
-    """Cohomology with F_p coefficients: a vector space, reported as free rank.
-
-    The generators are the kernel vectors that enlarge the span of the image
-    and the generators before them; d o d = 0 puts the image in the kernel.
-    """
-    ker = gf_kernel(d_cur.to_rows(), p, d_cur.cols)
-    image = {}
-    for col in d_prev.columns():
-        _gf_insert(image, col, p)
-    basis = dict(image)
-    reps = []
-    for v in ker:
-        if len(basis) == len(ker):
-            break
-        if _gf_insert(basis, v, p):
-            reps.append(v)
-    return AbelianGroupReport(len(reps), [], reps, _reader=_EchelonReader(image, p))
 
 
 def _gf_reduce(basis, vec, p):
@@ -1157,20 +1145,55 @@ def _gf_insert(basis, vec, p):
     return True
 
 
-def gf_kernel(rows, p, ncols):
-    """Basis of the kernel of a matrix over F_p (column vectors).
+class EchelonKernel:
+    """The kernel over F_p of an integer matrix A, by the reduced echelon form
+    of its rows mod p: one basis vector per free (non-pivot) column, 1 there
+    and 0 at the other free columns, so a kernel vector's coordinates are its
+    entries there."""
 
-    One vector per non-pivot column of the reduced echelon form of the rows.
+    def __init__(self, mat, p):
+        self.mat, self.p, self.echelon = mat, p, {}
+        for row in mat.to_rows():
+            _gf_insert(self.echelon, row, p)
+        self.free = [c for c in range(mat.cols) if c not in self.echelon]
+
+    def kernel(self):
+        """The basis, as column vectors with entries in [0, p)."""
+        out = [[int(j == c) for j in range(self.mat.cols)] for c in self.free]
+        for vec, c in zip(out, self.free):
+            for lead, row in self.echelon.items():
+                vec[lead] = -row[c] % self.p
+        return out
+
+    def kernel_coordinates(self, x):
+        """x at the free columns mod p, or None unless A*x = 0 mod p."""
+        if any(v % self.p for v in self.mat.mul_vector(x)):
+            return None
+        return [x[c] % self.p for c in self.free]
+
+
+class _EchelonRelations:
+    """F_p relations in kernel coordinates, as _quotient reads a factorization.
+
+    In their echelon form over the coordinates in reverse order, the leads are
+    the kernel vectors in the span of the relations and of the kernel vectors
+    before them.  The others are the generators, in kernel order, each of
+    order p with a unit inverse column.  Row i of U' reads coordinate i of a
+    class off the echelon reduction y - sum_l y_l * row_l of its y.
     """
-    basis = {}
-    for row in rows:
-        _gf_insert(basis, row, p)
-    kernel = []
-    for c in range(ncols):
-        if c not in basis:
-            vec = [0] * ncols
-            vec[c] = 1
-            for lead, row in basis.items():
-                vec[lead] = (-row[c]) % p
-            kernel.append(vec)
-    return kernel
+
+    def __init__(self, columns, s, p):
+        echelon = {}
+        for col in columns:
+            _gf_insert(echelon, col[::-1], p)
+        leads = {s - 1 - lead: row[::-1] for lead, row in echelon.items()}
+        self.diag = [1 if i in leads else p for i in range(s)]
+        self.rows = [[0] * s if i in leads else
+                     [-leads[t][i] % p if t in leads else int(t == i) for t in range(s)]
+                     for i in range(s)]
+
+    def left_rows(self):
+        return self.rows
+
+    def inverse_column(self, i):
+        return [int(t == i) for t in range(len(self.diag))]

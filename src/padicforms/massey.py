@@ -27,6 +27,7 @@ from padicforms.linalg import (
     cohomology,
     combine_columns,
     identity_rows,
+    ring_modulus,
 )
 from padicforms.simplicial import (
     DegenerateImage,
@@ -87,17 +88,13 @@ class DgaData:
         return self._factors[q]
 
     def cohomology(self, q, ring):
-        """The cohomology report of degree q over the ring, made once and kept."""
-        kind, m = ring
-        key = (q, kind, m)
+        """The cohomology report of degree q over the ring, made once and kept;
+        a ring that reads the factorization of diff(q) shares the held one."""
+        key = (q, ring)
         if key not in self._cohomology:
             d_prev = self.diff(q - 1) if q > 0 else SparseIntMatrix.zero(self.dim(0), 0)
-            if kind == "GF":
-                report = cohomology(d_prev, self.diff(q), "GF", m)
-            else:
-                report = cohomology(d_prev, self.diff(q), ("Zmod", m),
-                                    _modulus_prime(m), self.factor(q))
-            self._cohomology[key] = report
+            self._cohomology[key] = cohomology(d_prev, self.diff(q), ring, None,
+                                               lambda: self.factor(q))
         return self._cohomology[key]
 
     def subgroup(self, q, generators):
@@ -156,21 +153,6 @@ def _ambient_to_lattice(shifted, q, vec):
     return sol
 
 
-def _modulus_prime(m):
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError("modulus must be a prime power")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # ring solvers
 # ---------------------------------------------------------------------------
@@ -181,7 +163,7 @@ def solve_over(dga, q, target, ring, shift=0):
     shift > 0 adds the shift-th kernel element to the particular solution,
     yielding an independent defining system for the invariance re-check.
     """
-    _, m = ring
+    m = ring_modulus(ring)
     mat = dga.diff(q)
     target = [x % m for x in target]
     sol = dga.factor(q).solve(target, m)
@@ -209,7 +191,7 @@ def _reduced_kernel(dga, q, m):
 
 
 def is_coboundary_mod(dga, q, vector, ring):
-    kind, m = ring
+    m = ring_modulus(ring)
     if q == 0:
         return all(x % m == 0 for x in vector)
     return dga.factor(q - 1).solve([x % m for x in vector], m) is not None
@@ -217,7 +199,7 @@ def is_coboundary_mod(dga, q, vector, ring):
 
 def in_subgroup_mod(dga, q, vector, generators, ring):
     """vector lies in span(generators) + coboundaries + m-multiples."""
-    _, m = ring
+    m = ring_modulus(ring)
     subgroup = dga.subgroup(q, generators)
     if subgroup is None:
         return all(x % m == 0 for x in vector)
@@ -247,7 +229,7 @@ def triple_massey(source, a, b, c, ring, degrees=None, shift=0):
     unambiguous, so passing degrees is recommended).
     """
     dga = source if isinstance(source, DgaData) else DgaData.from_space(source)
-    kind, m = ring
+    m = ring_modulus(ring)
     if degrees is None:
         raise ValueError("degrees=(|a|, |b|, |c|) is required")
     qa, qb, qc = degrees
@@ -300,7 +282,7 @@ def massey_coset_stable(source, a, b, c, ring, degrees):
     dga = source if isinstance(source, DgaData) else DgaData.from_space(source)
     first = triple_massey(dga, a, b, c, ring, degrees)
     second = triple_massey(dga, a, b, c, ring, degrees, shift=1)
-    kind, m = ring
+    m = ring_modulus(ring)
     diff = [(x - y) % m for x, y in zip(first.representative,
                                         second.representative)]
     return in_subgroup_mod(dga, first.degree, diff, first.indeterminacy, ring)
@@ -365,7 +347,7 @@ def enumerate_massey_coset(dga, a, b, c, degrees, p):
 def massey_coset_from_result(dga, result):
     """The coset {rep + span(indet)} as class coordinates, for comparison."""
     import itertools
-    kind, m = result.ring
+    m = ring_modulus(result.ring)
     report = dga.cohomology(result.degree, result.ring)
     out = set()
     k = len(result.indeterminacy)
@@ -605,7 +587,7 @@ def eligible_pairs(dga, p, max_degree=2, ring=None):
     that are cocycles at the full precision of the scaling checks.
     """
     ring = ring or ("GF", p)
-    _, m = ring
+    m = ring_modulus(ring)
     classes = [(q, [x % m for x in gen]) for q in range(1, max_degree + 1)
                for gen in dga.cohomology(q, ring).generators]
     # vanishes[i][j]: [class i][class j] = 0, each ordered product tested once

@@ -28,13 +28,11 @@ on finite simplicial complexes", HHA 5, 2003).  A product is then one pass
 over the table; the signs are the ones above.
 """
 
-from padicforms.linalg import StructuralError
+from padicforms.linalg import StructuralError, ring_modulus, ring_reduce
 from padicforms.simplicial import (
     Cochain,
     coboundary,
     normalized_cochain_complex,
-    ring_modulus,
-    ring_reduce,
     zero_cochain,
 )
 
@@ -201,7 +199,7 @@ def steenrod_square(space, i, vector, degree, reports=None):
 
     def report_at(q):
         if q not in reports:
-            reports[q] = complex_.cohomology(q, "GF", 2)
+            reports[q] = complex_.cohomology(q, ring)
         return reports[q]
 
     sq = cup_i(x, x, degree - i)

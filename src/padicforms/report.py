@@ -185,7 +185,8 @@ def _check_type(value, want, path):
             return [f"{path}: expected a list"]
         out = []
         for i, item in enumerate(value):
-            out.extend(_check_type(item, want[0], f"{path}[{i}]"))
+            if _check_type(item, want[0], path):  # the item's path only on an error
+                out.extend(_check_type(item, want[0], f"{path}[{i}]"))
         return out
     if isinstance(want, dict):
         if not isinstance(value, dict):

@@ -12,7 +12,8 @@ through degeneracy words with the usual rewriting rules.
 
 from dataclasses import dataclass
 
-from padicforms.linalg import SparseIntMatrix, StructuralError, cohomology
+from padicforms.arith import ConfigurationError
+from padicforms.linalg import SparseIntMatrix, StructuralError, cohomology, ring_reduce
 
 
 @dataclass(frozen=True)
@@ -262,35 +263,22 @@ def standard_space(name, n=None):
     """Library lookup: delta, boundary_delta, sphere (with n) or rp2."""
     if name == "delta":
         if n is None or n < 0:
-            raise ValueError("delta needs n >= 0")
+            raise ConfigurationError("delta needs n >= 0")
         return delta(n)
     if name == "boundary_delta":
         if n is None or n < 1:
-            raise ValueError("boundary_delta needs n >= 1")
+            raise ConfigurationError("boundary_delta needs n >= 1")
         return boundary_delta(n)
     if name == "sphere":
         if n is None or n < 0:
-            raise ValueError("sphere needs n >= 0")
+            raise ConfigurationError("sphere needs n >= 0")
         return sphere(n)
     if name == "rp2":
         return rp2()
-    raise ValueError(f"unknown space {name!r}")
+    raise ConfigurationError(f"unknown space {name!r}")
 
 
 # -- cochains ------------------------------------------------------------------
-
-def ring_modulus(ring):
-    """0 for Z, p for ("GF", p), m for ("Zmod", m)."""
-    if ring == "Z":
-        return 0
-    kind, m = ring
-    return m
-
-
-def ring_reduce(value, ring):
-    m = ring_modulus(ring)
-    return value % m if m else value
-
 
 @dataclass(frozen=True)
 class Cochain:
@@ -391,7 +379,7 @@ class CochainComplex:
             return self.diffs[q]
         return SparseIntMatrix.zero(self.dim(q + 1), self.dim(q))
 
-    def cohomology(self, q, ring, p):
+    def cohomology(self, q, ring, p=None):
         d_prev = self.diff(q - 1) if q > 0 else SparseIntMatrix.zero(self.dim(0), 0)
         return cohomology(d_prev, self.diff(q), ring, p)
 

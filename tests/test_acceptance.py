@@ -304,7 +304,7 @@ def test_criterion_08_cup_i_conformance():
                     if not cup_i_coboundary_defect(b, a, 1).is_zero():
                         failures.append((space.name, ring, "coboundary-2-1"))
     cx = normalized_cochain_complex(rp2())
-    h1 = cx.cohomology(1, "GF", 2)
+    h1 = cx.cohomology(1, ("GF", 2))
     sq_vec, sq_rep = steenrod_square(rp2(), 1, h1.generators[0], 1)
     if sq_rep.is_coboundary(sq_vec):
         failures.append(("rp2", "Sq1-vanished"))

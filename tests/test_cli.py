@@ -59,6 +59,17 @@ def test_cohomology_omega_instability_exit_code(capsys):
     assert payload["stable"]["2"] is False
 
 
+def test_omega_weight_below_the_form_degree_is_configuration_error(capsys):
+    """At W = 2 sphere:3 has no omega 3-forms at W or W-1, so the stability
+    flag cannot see the missing H^3 = Z: the run stops with exit 2."""
+    code = main(["--weight", "2", "cohomology", "--space", "sphere:3",
+                 "--model", "omega"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("configuration error: weight 2 is below degree 3: "
+                            "omega forms of degree 3 need weight >= 3\n")
+
+
 def test_unknown_space_is_configuration_error(capsys):
     code = main(["cohomology", "--space", "klein"])
     assert code == 2

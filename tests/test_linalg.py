@@ -12,12 +12,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from padicforms import linalg
 from padicforms.arith import int_valuation, valuation
 from padicforms.linalg import (
+    EchelonKernel,
     HermiteBasis,
     IntFactorization,
     PLocalFactorization,
     SparseIntMatrix,
     StructuralError,
-    gf_kernel,
     cohomology,
     combine_columns,
     hnf_rows,
@@ -406,9 +406,9 @@ def test_cohomology_mod_matches_bruteforce():
 
 def test_cohomology_gf():
     # over F_2: 0 -> Z --x2--> Z -> 0 becomes 0 map, so H^1 = F_2
-    rep = cohomology(M([[2]]), zero_map(0, 1), "GF", 2)
+    rep = cohomology(M([[2]]), zero_map(0, 1), ("GF", 2))
     assert rep.free_rank == 1
-    rep = cohomology(M([[1]]), zero_map(0, 1), "GF", 2)
+    rep = cohomology(M([[1]]), zero_map(0, 1), ("GF", 2))
     assert rep.free_rank == 0
 
 
@@ -625,7 +625,7 @@ def test_p_local_inverse_columns_invert_u(rows, p):
 @given(int_rows(), st.sampled_from([2, 3, 5]))
 def test_gf_kernel_size_is_corank_of_p_local_snf(rows, p):
     ncols = len(rows[0])
-    ker = gf_kernel(rows, p, ncols)
+    ker = EchelonKernel(M(rows), p).kernel()
     for v in ker:
         assert all(x % p == 0 for x in M(rows).mul_vector(v))
     _, diag, _ = p_local_snf([[Fraction(x) for x in row] for row in rows], p)
@@ -896,7 +896,7 @@ def test_universal_coefficients_predict_mod_p_and_mod_p_power_cohomology():
         for q in range(space.dimension + 1):
             here, above = _group(cx, q, "Z", p), _group(cx, q + 1, "Z", p)
             tors = here.torsion + above.torsion
-            gf = _group(cx, q, "GF", p)
+            gf = _group(cx, q, ("GF", p), p)
             assert gf.free_rank == here.free_rank + len(tors), (space.name, p, q)
             for k in (1, 2, 3):
                 pk = p ** k
@@ -905,3 +905,123 @@ def test_universal_coefficients_predict_mod_p_and_mod_p_power_cohomology():
                 assert got.invariants() == (0, want), (space.name, p, q, k)
         cases += 1
     assert cases == 48
+
+
+# -- F_p cohomology against a frozen copy of the echelon routine -----------------
+
+def _frozen_gf_kernel(rows, p, ncols):
+    """The F_p kernel basis as gf_kernel made it before EchelonKernel."""
+    basis = {}
+    for row in rows:
+        linalg._gf_insert(basis, row, p)
+    kernel = []
+    for c in range(ncols):
+        if c not in basis:
+            vec = [0] * ncols
+            vec[c] = 1
+            for lead, row in basis.items():
+                vec[lead] = (-row[c]) % p
+            kernel.append(vec)
+    return kernel
+
+
+class _FrozenEchelonReader:
+    """F_p class coordinates: the vector reduced by the image's echelon basis."""
+
+    def __init__(self, image, p):
+        self.image, self.p = image, p
+
+    def class_coordinates(self, vector):
+        return linalg._gf_reduce(self.image, vector, self.p)
+
+
+def _frozen_cohomology_gf(d_prev, d_cur, p):
+    """Cohomology with F_p coefficients: a vector space, reported as free rank.
+
+    The generators are the kernel vectors that enlarge the span of the image
+    and the generators before them; d o d = 0 puts the image in the kernel.
+    """
+    ker = _frozen_gf_kernel(d_cur.to_rows(), p, d_cur.cols)
+    image = {}
+    for col in d_prev.columns():
+        linalg._gf_insert(image, col, p)
+    basis = dict(image)
+    reps = []
+    for v in ker:
+        if len(basis) == len(ker):
+            break
+        if linalg._gf_insert(basis, v, p):
+            reps.append(v)
+    return linalg.AbelianGroupReport(len(reps), [], reps,
+                                     _reader=_FrozenEchelonReader(image, p))
+
+
+@st.composite
+def _two_step_complexes(draw):
+    """(d_prev, d_cur) with d_cur * d_prev = 0 over Z: the rows of d_cur are
+    random combinations of a basis of the left kernel of d_prev."""
+    n = draw(st.integers(1, 6))
+    d_prev = draw(st.lists(int_vectors(draw(st.integers(0, 4)), 3), min_size=n,
+                           max_size=n))
+    k = len(d_prev[0])
+    left = IntFactorization.from_columns(d_prev, k).kernel() if k else \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [combine_columns(left, draw(int_vectors(len(left), 3)), n)
+            for _ in range(draw(st.integers(0, 4)))]
+    return SparseIntMatrix.from_rows(d_prev, k), SparseIntMatrix.from_rows(rows, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@ORACLE
+@given(cx=_two_step_complexes(), data=st.data())
+def test_gf_cohomology_matches_frozen_echelon_copy(p, cx, data):
+    """Free rank, generators (exactly), is_coboundary and same_class on random
+    cocycles mod p; the live report reads its generators as unit vectors."""
+    d_prev, d_cur = cx
+    live = cohomology(d_prev, d_cur, ("GF", p))
+    frozen = _frozen_cohomology_gf(d_prev, d_cur, p)
+    assert live.invariants() == (frozen.free_rank, [])
+    assert live.generators == frozen.generators
+    for i, gen in enumerate(live.generators):
+        assert live.class_coordinates(gen) == [int(j == i) for j in range(live.free_rank)]
+    kernel = _frozen_gf_kernel(d_cur.to_rows(), p, d_cur.cols)
+    image = d_prev.columns()
+
+    def cocycle():
+        vec = combine_columns(kernel, data.draw(int_vectors(len(kernel), p)), d_cur.cols)
+        vec = [x + p * y for x, y in zip(vec, data.draw(int_vectors(d_cur.cols, 2)))]
+        if image and data.draw(st.booleans()):
+            vec = [x + y for x, y in zip(vec, combine_columns(
+                image, data.draw(int_vectors(len(image), 3)), d_cur.cols))]
+        return vec
+
+    for _ in range(3):
+        v, w = cocycle(), cocycle()
+        assert live.is_coboundary(v) == frozen.is_coboundary(v)
+        assert live.same_class(v, w) == frozen.same_class(v, w)
+    for col in image:
+        assert live.is_coboundary(col)
+
+
+def test_bare_gf_string_is_an_unknown_ring():
+    """"GF" without its prime is no ring value: one ValueError, wherever it enters."""
+    with pytest.raises(ValueError, match="unknown ring 'GF'"):
+        cohomology(M([[2]]), zero_map(0, 1), "GF", 2)
+    with pytest.raises(ValueError, match="unknown ring 'GF'"):
+        normalized_cochain_complex(rp2()).cohomology(1, "GF", 2)
+
+
+@pytest.mark.parametrize("factor", ["U", "D", "V"])
+def test_smith_form_self_check_catches_one_corrupted_entry(factor):
+    """Every single-entry corruption of U, D or V breaks U*M*V = D for a matrix
+    of full rank, so _check_snf raises."""
+    mat = M([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    snf = dict(zip("UDV", smith_normal_form(mat)))
+    linalg._check_snf(mat, snf["U"], snf["D"], snf["V"])
+    bad = snf[factor]
+    for i, j in itertools.product(range(bad.rows), range(bad.cols)):
+        entries = dict(bad.entries)
+        entries[(i, j)] = entries.get((i, j), 0) + 1
+        corrupted = dict(snf, **{factor: SparseIntMatrix(bad.rows, bad.cols, entries)})
+        with pytest.raises(StructuralError):
+            linalg._check_snf(mat, corrupted["U"], corrupted["D"], corrupted["V"])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from padicforms.derham import build_omega
 from padicforms.report import (
+    SCHEMA_VERSION,
     dump_json,
     lattice_report,
     rat,
@@ -42,6 +43,23 @@ def test_validator_flags_problems():
     bad2 = dict(payload)
     bad2["extra"] = 1
     assert any("unexpected" in e for e in validate_report(bad2))
+
+
+def test_validator_names_bad_nested_items():
+    """Each bad item is named by its index path, at every depth."""
+    payload = {"version": SCHEMA_VERSION, "kind": "massey", "manifest": {},
+               "degree": 2, "representative": ["0", 1],
+               "indeterminacy": [["0"], ["1", 2, True]],
+               "defining_system": {}, "vanishes": False}
+    assert validate_report(payload) == [
+        "representative[1]: expected str",
+        "indeterminacy[1][1]: expected str",
+        "indeterminacy[1][2]: expected str",
+    ]
+    space = {"version": SCHEMA_VERSION, "kind": "space", "manifest": {},
+             "name": "s", "cells": [1, True], "euler_characteristic": 1,
+             "text": ""}
+    assert validate_report(space) == ["cells[1]: expected an integer"]
 
 
 _TEXT = st.text(st.sampled_from('aZ0 "\\/\n\t\x00\x1f\x7fé€😀\ud800'), max_size=5)

@@ -1,5 +1,6 @@
 import pytest
 
+from padicforms.arith import ConfigurationError
 from padicforms.linalg import StructuralError, smith_normal_form
 from padicforms.massey import random_space
 from padicforms.simplicial import (
@@ -76,10 +77,14 @@ def test_simplicial_identities_enforced():
 
 
 def test_standard_space_lookup_errors():
-    with pytest.raises(ValueError):
-        standard_space("moebius")
-    with pytest.raises(ValueError):
-        standard_space("sphere")
+    """Bad names and sizes are input errors, with messages for the user."""
+    for name, n, message in [("moebius", None, "unknown space 'moebius'"),
+                             ("sphere", None, "sphere needs n >= 0"),
+                             ("delta", -1, "delta needs n >= 0"),
+                             ("boundary_delta", 0, "boundary_delta needs n >= 1")]:
+        with pytest.raises(ConfigurationError) as err:
+            standard_space(name, n)
+        assert str(err.value) == message
 
 
 def test_euler_characteristics():
@@ -155,8 +160,8 @@ def test_sphere_cohomology_all_primes():
 
 def test_delta1_gf2():
     cx = normalized_cochain_complex(delta(1))
-    assert cx.cohomology(0, "GF", 2).free_rank == 1
-    assert cx.cohomology(1, "GF", 2).free_rank == 0
+    assert cx.cohomology(0, ("GF", 2)).free_rank == 1
+    assert cx.cohomology(1, ("GF", 2)).free_rank == 0
 
 
 def test_s2_cohomology_p3():
