@@ -14,7 +14,7 @@ import functools
 import sys
 
 from padicforms.arith import ConfigurationError, SessionConfig
-from padicforms.decalage import VLevels, build_D, tensor_cochain_algebra
+from padicforms.decalage import TensorLevels, VLevels, build_D
 from padicforms.derham import (
     apl_mod_p,
     build_omega,
@@ -173,10 +173,9 @@ def run_cohomology(args, config):
                    for q in range(q_max + 1)}
         return cohomology_report(manifest, reports), 0
     if args.model == "v_tensor_omega":
-        v = VLevels(config.prime, space.dimension + 1, q_max)
-        _, reports, stable = stable_cohomology(
-            space, tensor_cochain_algebra(
-                v, omega_levels(config.weight, config.prime), q_max), q_max)
+        levels = TensorLevels(VLevels(config.prime),
+                              omega_levels(config.weight, config.prime))
+        _, reports, stable = stable_cohomology(space, levels, q_max)
         payload = cohomology_report(manifest, reports, stable=stable)
         return payload, 0 if all(stable.values()) else 3
     raise ConfigurationError(f"unknown model {args.model}")

@@ -205,10 +205,8 @@ class VLevels:
     kept as integer rows (``face_rows``, ``degen_rows``).
     """
 
-    def __init__(self, p, max_level, q_max):
+    def __init__(self, p):
         self.prime = p
-        self.max_level = max_level
-        self.q_max = q_max
         self._spaces = {}
         self._shifted = {}
         self._faces = {}
@@ -289,10 +287,9 @@ class TensorLevels:
     pair is that of its second factor, and ``weight`` is the second family's.
     """
 
-    def __init__(self, first, second, q_max):
+    def __init__(self, first, second):
         self.first = first
         self.second = second
-        self.q_max = q_max
         if first.prime != second.prime:
             raise ValueError("level families live at different primes")
         self.prime = first.prime
@@ -397,8 +394,3 @@ class TensorLevels:
                         if cb:
                             out[index[(i1 + i2, ra, rb)]] += coeff * ca * cb
         return out
-
-
-def tensor_cochain_algebra(first, second, q_max):
-    """The degreewise tensor of two level families; see TensorLevels."""
-    return TensorLevels(first, second, q_max)

@@ -311,7 +311,7 @@ def omega_levels(weight, prime):
 def build_omega(n, weight, prime):
     """The level-n lattice; desk-scale bounds n <= 3, weight <= 8."""
     if n > 3 or weight > 8:
-        raise ValueError("desk-scale bounds are n <= 3, weight <= 8")
+        raise ConfigurationError("desk-scale bounds are n <= 3, weight <= 8")
     return omega_levels(weight, prime).level(n)
 
 
@@ -403,8 +403,7 @@ class SectionComplex:
                         for j, x in wentries:
                             row[off_b + j] -= g * x
                     constraint_rows.append(row)
-        return PLocalFactorization(constraint_rows, self.prime, total,
-                                   with_u=False)
+        return PLocalFactorization(constraint_rows, self.prime, total)
 
     def express(self, k, ambient_vec):
         """Coordinates of an ambient vector in the degree-k section basis."""
@@ -485,8 +484,7 @@ class SectionComplex:
             free_set = set(free)
             cut = [[secs[j][r] for j in keep] for r, w in enumerate(weights)
                    if w == top and r not in free_set]
-            basis = PLocalFactorization(integer_rows(cut, p), p, len(keep),
-                                        with_u=False).kernel()
+            basis = PLocalFactorization(cut, p, len(keep)).kernel()
             dims[q] = len(basis)
             # D_q K_q over integers: rows and columns scaled by p-units
             cols = integer_rows(basis, p)
@@ -496,7 +494,7 @@ class SectionComplex:
                 out = [sum(x * col[t] for t, x in sub) for col in cols]
                 if any(out):
                     image.append(out)
-            fac = PLocalFactorization(image, p, len(cols), with_u=False)
+            fac = PLocalFactorization(image, p, len(cols))
             ranks[q], diags[q] = fac.rank, fac.diag
         return {q: (dims[q] - ranks[q] - ranks[q - 1],
                     sorted(int(d) for d in diags[q - 1] if d and d != 1))
@@ -540,7 +538,7 @@ def omega_cohomology(space, weight, q_max, prime):
     missing forms, is a ConfigurationError.
     """
     if weight < 2:
-        raise ValueError("stability needs weight >= 2")
+        raise ConfigurationError("stability needs weight >= 2")
     if weight < q_max:
         raise ConfigurationError(f"weight {weight} is below degree {q_max}: omega "
                                  f"forms of degree {q_max} need weight >= {q_max}")
@@ -641,9 +639,7 @@ class LevelModule:
         self._face_cache = {}
         for n in range(max_level + 1):
             dmat = levels.level(n).diff_matrix(k) if cocycles else []
-            self.factors[n] = PLocalFactorization(
-                integer_rows(dmat, self.prime), self.prime, levels.dims(n, k),
-                with_u=False)
+            self.factors[n] = PLocalFactorization(dmat, self.prime, levels.dims(n, k))
             self.bases[n] = self.factors[n].kernel()
 
     def dim(self, n):
@@ -669,9 +665,7 @@ def moore_complex(module, top_level):
         stacked = []
         for i in range(1, m + 1):
             stacked.extend(module.face_matrix(m, i))
-        factors[m] = PLocalFactorization(integer_rows(stacked, module.prime),
-                                         module.prime, module.dim(m),
-                                         with_u=False)
+        factors[m] = PLocalFactorization(stacked, module.prime, module.dim(m))
     bases = {m: fac.kernel() for m, fac in factors.items()}
     diffs = {}
     for m in range(1, top_level + 1):

@@ -15,13 +15,13 @@ factored again.  There is one solve over the local ring, lattice_membership
 (``p_local_solve`` is a call into it): x = V*D^+*U*b on the integer Smith
 form, with each coordinate's valuation checked.  One integer Smith form
 answers solves and kernels over Z and Z/m alike: x = V*y solves A*x = 0
-(mod m) iff m divides d_j*y_j for every j.  Both Smith forms record the inverse of their left
-transform as they eliminate, and the integer one records V^-1 as its column
+(mod m) iff m divides d_j*y_j for every j.  The integer Smith form records
+the inverse of its left transform as it eliminates, and V^-1 as its column
 operations: the coordinates of x in the kernel basis V[:, r:] are rows r.. of
 V^-1 times x, kept only if the kernel columns rebuild x.  An ``hnf_rows`` basis
-is read by forward substitution (HermiteBasis).  The local Smith form is
-fraction-free; only the quotient's relations keep U, and everywhere else it
-runs without U on integer rows (``with_u=False``).
+is read by forward substitution (HermiteBasis).  The local Smith form is one
+fraction-free elimination that never forms U: U^-1 is read off V's pivot
+columns, and U*y by forward substitution in its columns.
 
 A coefficient ring is one value, read only here: "Z", ("GF", p) or
 ("Zmod", m).  Cohomology over Z, Z/m, F_p and the local ring share one
@@ -36,6 +36,7 @@ compose_rows, apply_rows) live here too; no other module does linear
 algebra of its own.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, zip_longest
@@ -255,19 +256,16 @@ def combine_columns(cols, coords, length):
 # ---------------------------------------------------------------------------
 
 class SmithForm(tuple):
-    """The triple (U, D, V) of a Smith form, plus the columns of U^-1.
+    """The triple (U, D, V) of an integer Smith form, plus the columns of
+    U^-1 and the column operations on V.
 
     ``uinv[i]`` is column i of U^-1, recorded during the elimination: a row
     operation on U is a column operation on U^-1.  Readers check U*w = e_i
-    before they use a column.  ``vops`` (integer form only) lists the column
-    operations on V: (i, j, q) for col_i -= q * col_j and (i, j, None) for a
-    swap.  ``free``, ``acols`` and ``kernel`` are what PLocalFactorization
-    reads (set by p_local_snf).
+    before they use a column.  ``vops`` lists the column operations on V:
+    (i, j, q) for col_i -= q * col_j and (i, j, None) for a swap.
     """
 
-    free = acols = kernel = None
-
-    def __new__(cls, u, d, v, uinv, vops=None):
+    def __new__(cls, u, d, v, uinv, vops):
         self = super().__new__(cls, (u, d, v))
         self.uinv, self.vops = uinv, vops
         return self
@@ -507,7 +505,7 @@ class IntFactorization:
     and for coordinates in its own kernel basis."""
 
     def __init__(self, mat):
-        self.cols, self._vinv = mat.cols, None
+        self.cols, self._vinv, self._urows = mat.cols, None, None
         snf = smith_normal_form(mat)
         (self.U, D, self.V), self.uinv, self.vops = snf, snf.uinv, snf.vops
         self.diag = [D[(i, i)] for i in range(min(mat.rows, mat.cols))]
@@ -517,8 +515,11 @@ class IntFactorization:
     def from_columns(cls, columns, nrows):
         return cls(SparseIntMatrix.from_columns(columns, nrows))
 
-    def left_rows(self):
-        return self.U.to_rows()
+    def left(self, y):
+        """U*y; U's dense rows are made once."""
+        if self._urows is None:
+            self._urows = self.U.to_rows()
+        return mat_vec(self._urows, y)
 
     def inverse_column(self, i):
         """Column i of U^-1, checked against U."""
@@ -619,85 +620,66 @@ class HermiteBasis:
 def integer_rows(rows, p):
     """Each row of p-integral Fractions times the lcm of its denominators.
 
-    The lcm is a p-unit, so the integer rows have the kernel, the pivots and
-    the Smith diagonal of the given ones: they are what p_local_snf takes
-    without U.
+    The lcm is a p-unit, so products of the integer rows are those of the
+    given ones up to p-unit factors, which no p-local invariant sees.
     """
     return [_cleared_row(r, p)[0] for r in rows]
 
 
 def _cleared_row(row, p):
-    support = [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x]
-    dens = {d for _, _, d in support}
-    if any(d % p == 0 for d in dens):
+    """(R, s, J): a row of ints or Fractions times the lcm s of its entries'
+    denominators, which must be a p-unit, and the row's support J."""
+    support = list(compress(range(len(row)), row))
+    scale = lcm(*[row[j].denominator for j in support])
+    if scale % p == 0:
         raise StructuralError("entry is not p-integral")
-    scale = lcm(*dens)
     out = [0] * len(row)
-    for j, a, d in support:
-        out[j] = a * (scale // d)
-    return out, scale
+    for j in support:  # an int's numerator is the int itself
+        x = row[j]
+        out[j] = x.numerator if scale == 1 else x.numerator * (scale // x.denominator)
+    return out, scale, support
 
 
-def p_local_snf(rows, p, with_u=True):
-    """Smith form over the local ring at p.
+PLocalSmith = namedtuple("PLocalSmith", "diag free kernel acols scales perm pivots")
 
-    With U (the default) rows is a matrix of p-integral Fractions, and the
-    result is (U, diag, V) as dense Fraction matrices with
-    U*A*V = diag(p^e_i), e_1 <= e_2 <= ...; U and V are invertible over the
-    local ring (their entries are p-integral and their determinants are
-    p-units).
 
-    The elimination is fraction-free, in the style of Bareiss (1968).  Row i
-    of [A | U] is s_i * R_i: an integer row R_i, cleared of the row's p-unit
-    denominators on entry, times a p-unit scale s_i kept as an integer pair.
-    The pivot is the first entry of least valuation in row-major order.  A
-    pivot p^e * c (c a p-unit) clears column k from row i by
+def p_local_snf(rows, p):
+    """Smith form U*A*V = diag(p^e_i), e_1 <= e_2 <= ..., over the local ring
+    at p, of a matrix A of p-integral rows (ints or Fractions), as a
+    PLocalSmith; U is not formed (PLocalFactorization reads it off V).
+
+    Row i is cleared of its p-unit denominators on entry: R_i = s_i * A_i,
+    with s_i in ``scales``, and ``acols`` holds the nonzero entries of the
+    R_i by column.  The elimination on the R_i is fraction-free, in the style
+    of Bareiss (1968).  The pivot is the first entry of least valuation in
+    row-major order, and ``perm[k]`` is the original row moved to position
+    k.  A pivot p^e * c (c a p-unit) clears column k from row i by
     R_i <- c*R_i - (R_ik / p^e)*R_k on the support of R_k; the changed row is
-    then divided by its p-unit content.  The column step only touches V, kept
-    as sparse integer columns over p-unit denominators.  The Fractions are
-    made once, at the end.  The result is a SmithForm: the inverse of U is
-    recorded as U is built, in ``uinv`` as sparse columns {row: entry}; past
-    the current pivot those columns are still permuted unit vectors, so each
-    elimination step adds one entry to the pivot's column.
+    then divided by its p-unit content, and may become zero.
 
-    Without U (``with_u=False``) rows must be integer rows, each already
-    cleared of its p-unit denominators (``integer_rows``).  No [A | U], U^-1
-    or scales are carried, and U, V and ``uinv`` are None.  Each
-    row differs from its full-mode counterpart by a p-unit factor, so the
-    valuations, hence the pivots, the diagonal, ``free`` and V are the same.
-    A row can become zero in this mode; it is then left as it is.  In both
-    modes ``kernel`` holds V's kernel columns V[:, r:] as Fraction columns.
-
-    ``acols`` holds A's nonzero entries by column, each row cleared of its
-    denominators.  ``free`` lists the free columns F, never chosen as pivots,
-    in the order of the kernel columns V[:, r:].  A column step only subtracts
-    a multiple of the pivot column, which is zero outside its own and earlier
-    pivots' original columns, from a later column; there are no gcd steps.  So
-    V is the identity on F.
+    The column step only touches V, kept as sparse integer columns over
+    p-unit denominators: ``pivots`` holds V's first r columns as (support,
+    values, denominator) and ``kernel`` V[:, r:] as Fraction columns.  ``free``
+    lists the free columns F, never chosen as pivots, in the order of the
+    kernel columns.  A column step only subtracts a multiple of the pivot
+    column, which is zero outside its own and earlier pivots' original
+    columns, from a later column; there are no gcd steps.  So V is the
+    identity on F.
     """
     n = len(rows)
     m = len(rows[0]) if rows else 0
-    width = m + n if with_u else m
-    a, num, den = [], [1] * n, []  # row i of [A | U] is num[i]/den[i] * a[i]
-    acols = [[] for _ in range(m)]
+    a, scales, acols = [], [], [[] for _ in range(m)]
     for i, r in enumerate(rows):
-        if with_u:
-            row, scale = _cleared_row(r, p)
-            den.append(scale)
-        else:
-            row = list(r)
-        for j in [j for j, x in enumerate(row) if x]:
+        row, scale, support = _cleared_row(r, p)
+        for j in support:
             acols[j].append((i, row[j]))
-        if with_u:
-            row += [0] * n
-            row[m + i] = scale
         a.append(row)
+        scales.append(scale)
     vcol = [{j: 1} for j in range(m)]
     vden = [1] * m  # column j of V is vcol[j] / vden[j]
     orig = list(range(m))  # the original column of column j of V
-    perm = list(range(n))  # column i of U^-1 is e_perm[i] while i >= k
-    uinv, pes = [], []  # uinv entries as (numerator, denominator) until the end
-    swapped = (a, num, den, perm) if with_u else (a,)
+    perm = list(range(n))
+    pes = []
 
     k = 0
     while k < min(n, m):
@@ -715,7 +697,7 @@ def p_local_snf(rows, p, with_u=True):
                 break
         if best is None:
             break
-        for lst in swapped:
+        for lst in (a, perm):
             lst[k], lst[pi] = lst[pi], lst[k]
         if pj != k:
             for r in a[k:]:
@@ -724,15 +706,11 @@ def p_local_snf(rows, p, with_u=True):
                 lst[k], lst[pj] = lst[pj], lst[k]
         rk, pe = a[k], p ** best
         c = rk[k] // pe  # the pivot's unit part
-        if with_u:
-            w_k = {perm[k]: (num[k] * c, den[k])}
-        support = [j for j in range(k, width) if rk[j]]
+        support = [j for j in range(k, m) if rk[j]]
         for i in range(k + 1, n):
             ri = a[i]
             if ri[k]:
                 t = ri[k] // pe
-                if with_u:  # col_k of U^-1 += s_i*t * col_i
-                    w_k[perm[i]] = (num[i] * t, den[i])
                 if c != 1:
                     ri = [c * x for x in ri]
                 for j in support:
@@ -741,12 +719,6 @@ def p_local_snf(rows, p, with_u=True):
                 while g and g % p == 0:
                     g //= p
                 a[i] = [x // g for x in ri] if g > 1 else ri
-                if with_u:
-                    h = gcd(num[i] * g, den[i] * c)
-                    num[i], den[i] = num[i] * g // h, den[i] * c // h
-        if with_u:
-            uinv.append(w_k)
-            num[k], den[k] = 1, c
         vk, dk = vcol[k], vden[k]
         for j in range(k + 1, m):
             if rk[j]:  # column_j of V -= (rk[j] / (c * p^e)) * column_k
@@ -762,8 +734,10 @@ def p_local_snf(rows, p, with_u=True):
                 vcol[j] = {r: x // g for r, x in vj.items()} if g > 1 else vj
                 vden[j] = vden[j] * s // g
         pes.append(pe)
+        a[k] = None  # the pivot row is done with: free it, so the peak falls
         k += 1
 
+    del a  # the rows are done with before the kernel columns are made
     zero = Fraction(0)
 
     def column(j):
@@ -773,66 +747,87 @@ def p_local_snf(rows, p, with_u=True):
         return out
 
     diag = [Fraction(pe) for pe in pes] + [zero] * (min(n, m) - k)
-    kernel = [column(j) for j in range(k, m)]
-    if not with_u:
-        snf = SmithForm(None, diag, None, None)
-        snf.free, snf.acols, snf.kernel = orig[k:], acols, kernel
-        return snf
-    u = [[Fraction(num[i] * x, den[i]) if x else zero for x in a[i][m:]]
-         for i in range(n)]
-    v = columns_to_rows([column(j) for j in range(k)] + kernel, m)
-    uinv = [{t: Fraction(*q) for t, q in w.items()} for w in uinv] + \
-        [{perm[i]: Fraction(1)} for i in range(k, n)]
-    snf = SmithForm(u, diag, v, uinv)
-    snf.free, snf.acols, snf.kernel = orig[k:], acols, kernel
-    return snf
+    # two tuples take less memory than a dict, and factorizations are held
+    pivots = [(tuple(vcol[j]), tuple(vcol[j].values()), vden[j]) for j in range(k)]
+    return PLocalSmith(diag, orig[k:], [column(j) for j in range(k, m)], acols,
+                       scales, perm, pivots)
 
 
 class PLocalFactorization:
-    """p_local_snf of a p-integral matrix, kept for the readers of its
-    kernel and, with U, of its left transform.
+    """p_local_snf of a p-integral matrix A, kept for the readers of its
+    kernel and of its left transform U.
 
-    It holds the diagonal, the kernel columns, ``free`` and ``acols``, which
-    answer ``kernel`` and ``kernel_coordinates``; with U (the default) also U
-    and ``uinv``, which answer ``left_rows`` and ``inverse_column`` for the
-    relations of a quotient.  With ``with_u=False`` rows are integer rows
-    (``integer_rows``).  ncols must be given when rows is empty (a map into
-    the zero module).
+    The kernel columns, ``free`` and ``acols`` answer ``kernel`` and
+    ``kernel_coordinates``.  U is never formed: U*A*V = D makes column k of
+    U^-1 equal to A*v_k / p^e_k for a pivot k (v_k column k of V; A*v_k is
+    built in integers over the cleared rows) and the unit vector at perm[k]
+    otherwise.  These columns are lower triangular in perm order, so
+    ``left`` finds U*y by forward substitution; ``inverse_column`` hands one
+    out.  Each pivot column is checked when first made: p-integral, zero on
+    the rows eliminated before it and a p-unit on its own row.  ncols must be
+    given when rows is empty (a map into the zero module).
     """
 
-    def __init__(self, rows, p, ncols=None, with_u=True):
+    def __init__(self, rows, p, ncols=None):
         if rows and ncols is not None and len(rows[0]) != ncols:
             raise ValueError("ncols mismatch")
         self.p = p
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else ncols
         if self.nrows and self.ncols:
-            snf = p_local_snf(rows, p, with_u)
-        else:  # no rows or no columns: U is empty, all of it kernel
+            snf = p_local_snf(rows, p)
+        else:  # no rows or no columns: U is the identity, all of it kernel
             n = self.ncols
-            snf = SmithForm([], [], None, []) if with_u else \
-                SmithForm(None, [], None, None)
-            snf.free, snf.acols = list(range(n)), [[] for _ in range(n)]
-            snf.kernel = [[Fraction(int(r == j)) for j in range(n)] for r in range(n)]
-        self.u, self.diag, self.uinv = snf[0], snf[1], snf.uinv
-        self.free, self.acols = snf.free, snf.acols
-        self._kernel = snf.kernel
-        self.rank = sum(1 for d in self.diag if d)
+            snf = PLocalSmith(
+                [], list(range(n)), [[Fraction(int(r == j)) for j in range(n)]
+                                     for r in range(n)],
+                [[] for _ in range(n)], [1] * self.nrows, list(range(self.nrows)), [])
+        (self.diag, self.free, self._kernel, self.acols, self.scales,
+         self.perm, self.pivots) = snf
+        self.rank = len(self.pivots)
+        self._inverse = None
 
     @classmethod
     def from_columns(cls, columns, nrows, p):
         return cls(columns_to_rows(columns, nrows), p, len(columns))
 
-    def left_rows(self):
-        return self.u
+    def _pivot_columns(self):
+        """Columns 0..r-1 of U^-1 as sparse {row: Fraction}, made once."""
+        if self._inverse is None:
+            p, position, cols = self.p, {i: k for k, i in enumerate(self.perm)}, []
+            for k, (support, values, vden) in enumerate(self.pivots):
+                acc = {}  # (R*v_k)_i, R the cleared rows
+                for j, x in zip(support, values):
+                    for i, a in self.acols[j]:
+                        acc[i] = acc.get(i, 0) + a * x
+                den = vden * self.diag[k].numerator
+                col = {i: Fraction(y, self.scales[i] * den) for i, y in acc.items() if y}
+                own = col.get(self.perm[k])
+                if own is None or own.numerator % p == 0 or any(
+                        x.denominator % p == 0 or position[i] < k for i, x in col.items()):
+                    raise StructuralError(f"inverse column {k} read off V is not "
+                                          "p-integral and unit lower triangular")
+                cols.append(col)
+            self._inverse = cols
+        return self._inverse
 
     def inverse_column(self, i):
-        """Column i of U^-1, checked against U."""
-        w = self.uinv[i]
-        if [sum(r[t] * c for t, c in w.items()) for r in self.u] != \
-                [int(t == i) for t in range(self.nrows)]:
-            raise StructuralError("recorded inverse column does not invert U")
-        return [w.get(t, Fraction(0)) for t in range(self.nrows)]
+        """Column i of U^-1."""
+        col = self._pivot_columns()[i] if i < self.rank else {self.perm[i]: Fraction(1)}
+        zero = Fraction(0)
+        return [col.get(t, zero) for t in range(self.nrows)]
+
+    def left(self, y):
+        """U*y: the z with U^-1 * z = y, by forward substitution in perm order."""
+        cols, rest, z = self._pivot_columns(), list(y), []
+        for k, i in enumerate(self.perm):
+            t = rest[i]
+            if t and k < self.rank:
+                t /= cols[k][i]
+                for r, x in cols[k].items():
+                    rest[r] -= x * t
+            z.append(t)
+        return z
 
     def kernel(self):
         """Basis of the kernel over the local ring at p, as coordinate columns
@@ -859,8 +854,7 @@ class PLocalFactorization:
 
 def p_local_kernel(rows, p, ncols):
     """Basis of the kernel over the local ring at p, as coordinate columns."""
-    return PLocalFactorization(integer_rows(rows, p), p, ncols,
-                               with_u=False).kernel()
+    return PLocalFactorization(rows, p, ncols).kernel()
 
 
 def p_local_solve(rows, target, p):
@@ -980,17 +974,18 @@ class AbelianGroupReport:
 
 class _QuotientReader:
     """Class coordinates in span(kernel) / span(relations): z = U' * y for
-    the kernel coordinates y, each z_i reduced mod its order d_i, kept if
-    d_i = 0 (free) and dropped if d_i = 1."""
+    the kernel coordinates y (the relations' ``left``; z = y without
+    relations), each z_i reduced mod its order d_i, kept if d_i = 0 (free)
+    and dropped if d_i = 1."""
 
-    def __init__(self, kernel, uprime, orders):
-        self.kernel, self.uprime, self.orders = kernel, uprime, orders
+    def __init__(self, kernel, relations, orders):
+        self.kernel, self.relations, self.orders = kernel, relations, orders
 
     def class_coordinates(self, vector):
         y = self.kernel.kernel_coordinates(vector)
         if y is None:
             raise StructuralError("vector is not a cocycle")
-        z = mat_vec(self.uprime, y)
+        z = y if self.relations is None else self.relations.left(y)
         return [_residue_mod(z[i], d) if d else z[i]
                 for i, d in enumerate(self.orders) if d != 1]
 
@@ -1009,17 +1004,18 @@ def _quotient(kfac, kernel, relations, factor, p=None, modulus=0):
     factor(columns, nrows) factors a column list in the engine of the ring.
     The relations are rewritten in kernel coordinates (raising if one leaves
     the kernel) and brought to Smith form U' * Y * V' = D'.  The reader
-    keeps U' and the diagonal, padded with zeros to one entry per kernel
-    column.  Each entry d other than 1 gives the generator K * (column i of
-    U'^-1, as recorded): free if d = 0, of order d mod a modulus, else of
-    order the p-part of d, the prime-to-p part stripped.
+    keeps that factorization, which answers U' * y (``left``), and the
+    diagonal, padded with zeros to one entry per kernel column.  Each entry d
+    other than 1 gives the generator K * (column i of U'^-1): free if d = 0,
+    of order d mod a modulus, else of order the p-part of d, the prime-to-p
+    part stripped.
     """
     s = len(kernel)
     coords = [kfac.kernel_coordinates(col) for col in relations]
     if None in coords:
         raise StructuralError("image does not land in the kernel")
     if not coords:  # the kernel basis is free
-        reader = _QuotientReader(kfac, identity_rows(s), [0] * s)
+        reader = _QuotientReader(kfac, None, [0] * s)
         return AbelianGroupReport(s, [], [list(col) for col in kernel], _reader=reader)
     rfac = factor(coords, s)
     orders = [int(d) for d in rfac.diag] + [0] * (s - len(rfac.diag))
@@ -1046,7 +1042,7 @@ def _quotient(kfac, kernel, relations, factor, p=None, modulus=0):
         raise StructuralError("mod-m cohomology must be finite")
     return AbelianGroupReport(len(free_gens), sorted(torsion), tors_gens + free_gens,
                               prime_to_p_torsion=sorted(prime_to_p),
-                              _reader=_QuotientReader(kfac, rfac.left_rows(), orders))
+                              _reader=_QuotientReader(kfac, rfac, orders))
 
 
 def ring_modulus(ring):
@@ -1108,8 +1104,7 @@ def p_local_cohomology(d_prev, d_cur, p):
     ncols = len(d_cur[0]) if d_cur else (len(d_prev) if d_prev else 0)
     if d_prev and d_cur and d_prev[0] and len(d_prev) != ncols:
         raise StructuralError("differentials do not compose")
-    # _quotient reads d only through kernel_coordinates: no U is needed
-    dfac = PLocalFactorization(integer_rows(d_cur, p), p, ncols, with_u=False)
+    dfac = PLocalFactorization(d_cur, p, ncols)
     return _quotient(
         dfac, dfac.kernel(), [list(col) for col in zip(*d_prev) if any(col)],
         lambda cols, nrows: PLocalFactorization.from_columns(cols, nrows, p), p)
@@ -1179,7 +1174,8 @@ class _EchelonRelations:
     the kernel vectors in the span of the relations and of the kernel vectors
     before them.  The others are the generators, in kernel order, each of
     order p with a unit inverse column.  Row i of U' reads coordinate i of a
-    class off the echelon reduction y - sum_l y_l * row_l of its y.
+    class off the echelon reduction y - sum_l y_l * row_l of its y
+    (``left``).
     """
 
     def __init__(self, columns, s, p):
@@ -1192,8 +1188,8 @@ class _EchelonRelations:
                      [-leads[t][i] % p if t in leads else int(t == i) for t in range(s)]
                      for i in range(s)]
 
-    def left_rows(self):
-        return self.rows
+    def left(self, y):
+        return mat_vec(self.rows, y)
 
     def inverse_column(self, i):
         return [int(t == i) for t in range(len(self.diag))]

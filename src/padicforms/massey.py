@@ -409,52 +409,16 @@ def obstruction_fixture():
     ab = ba = e, cb = ua = g, a u_1 a = c, e u_1 a = g; all triple products
     land in degree 3 = 0 so associativity is automatic.  H^1 = <a, b, c>,
     H^2 = <g>; the product m(a, b, a) is the nonzero class [g] with zero
-    indeterminacy.
+    indeterminacy.  The products are read from the tables of its JSON form.
     """
-    dims = [1, 4, 2]
-    d0 = SparseIntMatrix.zero(4, 1)
-    d1 = SparseIntMatrix(2, 4, {(0, 3): 1})   # du = e
-    d2 = SparseIntMatrix.zero(0, 2)
     A, B, C, U = 0, 1, 2, 3
     E, G = 0, 1
-    table = {
-        (A, B): E, (B, A): E,
-        (C, B): G, (U, A): G,
-    }
-
-    def mul(q1, q2, v1, v2):
-        if q1 == 0 and q2 == 0:
-            return [v1[0] * v2[0]]
-        if q1 == 0:
-            return [v1[0] * x for x in v2]
-        if q2 == 0:
-            return [v2[0] * x for x in v1]
-        if q1 == 1 and q2 == 1:
-            out = [0, 0]
-            for i in range(4):
-                for j in range(4):
-                    if v1[i] and v2[j] and (i, j) in table:
-                        out[table[(i, j)]] += v1[i] * v2[j]
-            return out
-        return [0] * 0
-
-    def cup1(q1, q2, v1, v2):
-        if q1 == 1 and q2 == 1:
-            out = [0, 0, 0, 0]
-            if v1[A] and v2[A]:
-                out[C] += v1[A] * v2[A]
-            return out
-        if q1 == 2 and q2 == 1:
-            out = [0, 0]
-            if v1[E] and v2[A]:
-                out[G] += v1[E] * v2[A]
-            return out
-        if min(q1, q2) < 1:
-            deg = q1 + q2 - 1
-            return [0] * (dims[deg] if 0 <= deg < len(dims) else 0)
-        return [0] * 0
-
-    return DgaData(dims, [d0, d1, d2], mul, cup1, label="obstruction-fixture")
+    products = [[1, 1, A, B, E, 1], [1, 1, B, A, E, 1],
+                [1, 1, C, B, G, 1], [1, 1, U, A, G, 1]]
+    cup1 = [[1, 1, A, A, C, 1], [2, 1, E, A, G, 1]]
+    diffs = [SparseIntMatrix.zero(4, 1), SparseIntMatrix(2, 4, {(E, U): 1}),  # du = e
+             SparseIntMatrix.zero(0, 2)]
+    return _table_dga([1, 4, 2], diffs, products, cup1, "obstruction-fixture")
 
 
 def fixture_to_json(dga):
@@ -494,46 +458,37 @@ def fixture_to_json(dga):
 
 def fixture_from_json(text):
     data = json.loads(text)
-    dims = data["dims"]
-    diffs = []
-    for spec in data["diffs"]:
-        diffs.append(SparseIntMatrix(spec["rows"], spec["cols"],
-                                     {(i, j): v for i, j, v in spec["entries"]}))
-    prod_table = {}
-    for q1, q2, i, j, r, x in data.get("products", []):
-        prod_table.setdefault((q1, q2), {}).setdefault((i, j), {})[r] = x
+    diffs = [SparseIntMatrix(spec["rows"], spec["cols"],
+                             {(i, j): v for i, j, v in spec["entries"]})
+             for spec in data["diffs"]]
+    return _table_dga(data["dims"], diffs, data.get("products", []), data.get("cup1"),
+                      data.get("label", "fixture"))
 
-    def mul(q1, q2, v1, v2):
-        deg = q1 + q2
-        out = [0] * (dims[deg] if 0 <= deg < len(dims) else 0)
-        if q1 == 0 and q2 == 0:
-            return [v1[0] * v2[0]] if out else out
-        if q1 == 0:
-            return [v1[0] * x for x in v2]
-        if q2 == 0:
-            return [v2[0] * x for x in v1]
-        for (i, j), row in prod_table.get((q1, q2), {}).items():
-            if v1[i] and v2[j]:
-                for r, x in row.items():
-                    out[r] += v1[i] * v2[j] * x
-        return out
 
-    cup1_fn = None
-    if "cup1" in data:
-        cup1_table = {}
-        for q1, q2, i, j, r, x in data["cup1"]:
-            cup1_table.setdefault((q1, q2), {}).setdefault((i, j), {})[r] = x
+def _table_dga(dims, diffs, products, cup1, label):
+    """The DgaData whose products and cup-1 products (None for none) are
+    given by tables of [q1, q2, i, j, r, x]: e_i * e_j has x at r.  Degree 0
+    multiplies as scalars; every product has its target degree's length."""
 
-        def cup1_fn(q1, q2, v1, v2):
-            deg = q1 + q2 - 1
+    def product(entries, shift):
+        table = {}
+        for q1, q2, i, j, r, x in entries:
+            table.setdefault((q1, q2), {}).setdefault((i, j), {})[r] = x
+
+        def apply(q1, q2, v1, v2):
+            deg = q1 + q2 - shift
             out = [0] * (dims[deg] if 0 <= deg < len(dims) else 0)
-            for (i, j), row in cup1_table.get((q1, q2), {}).items():
+            if not shift and 0 in (q1, q2):  # a degree-0 factor acts as a scalar
+                return [v1[0] * x for x in v2] if q1 == 0 else [v2[0] * x for x in v1]
+            for (i, j), row in table.get((q1, q2), {}).items():
                 if v1[i] and v2[j]:
                     for r, x in row.items():
                         out[r] += v1[i] * v2[j] * x
             return out
+        return apply
 
-    return DgaData(dims, diffs, mul, cup1_fn, label=data.get("label", "fixture"))
+    cup1_fn = None if cup1 is None else product(cup1, 1)
+    return DgaData(dims, diffs, product(products, 0), cup1_fn, label=label)
 
 
 # ---------------------------------------------------------------------------

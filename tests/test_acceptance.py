@@ -36,10 +36,10 @@ import time
 import pytest
 
 from padicforms.decalage import (
+    TensorLevels,
     VLevels,
     build_D,
     eta_p,
-    tensor_cochain_algebra,
 )
 from padicforms.derham import (
     OmegaLevels,
@@ -410,9 +410,9 @@ def test_criterion_12_tensor_stretch():
     for p in (2, 3):
         per_weight = {}
         for w in (1, 2):
-            omega = OmegaLevels(w, p, 1)
-            v = VLevels(p, 2, 2)
-            tensor = tensor_cochain_algebra(v, omega, 1)
+            omega = OmegaLevels(w, p)
+            v = VLevels(p)
+            tensor = TensorLevels(v, omega)
             cx = SectionComplex(sphere(1), tensor, 1)
             per_weight[w] = {q: cx.cohomology(q).invariants() for q in (0, 1)}
         if per_weight[2] != {0: (1, []), 1: (1, [])}:

@@ -5,10 +5,13 @@ import sys
 import pytest
 
 from padicforms import cli, linalg
+from padicforms.arith import ConfigurationError
 from padicforms.cli import main
+from padicforms.derham import build_omega, omega_cohomology
 from padicforms.linalg import StructuralError
 from padicforms.massey import fixture_to_json, obstruction_fixture
 from padicforms.report import validate_report
+from padicforms.simplicial import rp2
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +71,23 @@ def test_omega_weight_below_the_form_degree_is_configuration_error(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == ("configuration error: weight 2 is below degree 3: "
                             "omega forms of degree 3 need weight >= 3\n")
+
+
+@pytest.mark.parametrize("call, argv, message", [
+    (lambda: omega_cohomology(rp2(), 1, 2, 2),
+     ["--weight", "1", "cohomology", "--space", "rp2", "--model", "omega"],
+     "stability needs weight >= 2"),
+    (lambda: build_omega(1, 9, 2),
+     ["--weight", "9", "verify", "--suite", "poincare"],
+     "desk-scale bounds are n <= 3, weight <= 8"),
+], ids=["omega-weight-1", "poincare-weight-9"])
+def test_omega_bounds_are_configuration_errors(call, argv, message, capsys):
+    """The bounds the CLI can reach raise ConfigurationError, not a bare
+    ValueError, and exit 2 with their message."""
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_unknown_space_is_configuration_error(capsys):

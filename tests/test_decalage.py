@@ -12,7 +12,6 @@ from padicforms.decalage import (
     eta_equals_shifted,
     eta_p,
     multiplication_closed,
-    tensor_cochain_algebra,
 )
 from padicforms.derham import OmegaLevels, SectionComplex
 from padicforms.linalg import (
@@ -240,13 +239,13 @@ def test_eta_contains_D_always():
 # -- V levels and the tensor ----------------------------------------------------
 
 def test_v_levels_dims():
-    v = VLevels(2, 1, 2)
+    v = VLevels(2)
     assert v.dims(0, 0) == 1 and v.dims(0, 1) == 0
     assert v.dims(1, 0) == 2 and v.dims(1, 1) == 1
 
 
 def test_v_levels_structure_maps_are_lattice_valued():
-    v = VLevels(2, 2, 2)
+    v = VLevels(2)
     for n in (1, 2):
         for i in range(n + 1):
             for k in range(n + 1):
@@ -258,7 +257,7 @@ def test_v_levels_structure_maps_are_lattice_valued():
 
 
 def test_v_levels_simplicial_identity():
-    v = VLevels(2, 2, 2)
+    v = VLevels(2)
 
     def face(n, i, k):
         out = [[Fraction(0)] * v.dims(n, k) for _ in v.face_rows(n, i, k)]
@@ -277,18 +276,18 @@ def test_tensor_unit_side_reduces_to_omega():
     # V(delta^0) is the ground ring in degree 0, so V x Omega at level 0
     # has the dimensions of Omega there
     p = 2
-    omega = OmegaLevels(2, p, 1)
-    v = VLevels(p, 1, 2)
-    tensor = tensor_cochain_algebra(v, omega, 2)
+    omega = OmegaLevels(2, p)
+    v = VLevels(p)
+    tensor = TensorLevels(v, omega)
     assert tensor.dims(0, 0) == omega.dims(0, 0)
     assert tensor.dims(0, 1) == omega.dims(0, 1)
 
 
 def test_tensor_d_squared_zero():
     p = 2
-    omega = OmegaLevels(2, p, 1)
-    v = VLevels(p, 1, 2)
-    tensor = tensor_cochain_algebra(v, omega, 2)
+    omega = OmegaLevels(2, p)
+    v = VLevels(p)
+    tensor = TensorLevels(v, omega)
     for n in (0, 1):
         for k in (0, 1):
             d1 = tensor.diff_columns(n, k)
@@ -304,9 +303,9 @@ def test_tensor_d_squared_zero():
 def test_tensor_omega_s1_invariants():
     # the stretch check: (V x Omega)(S^1) at weight 2, degrees <= 1
     for p in (2, 3):
-        omega = OmegaLevels(2, p, 1)
-        v = VLevels(p, 2, 2)
-        tensor = tensor_cochain_algebra(v, omega, 2)
+        omega = OmegaLevels(2, p)
+        v = VLevels(p)
+        tensor = TensorLevels(v, omega)
         cx = SectionComplex(sphere(1), tensor, 1)
         h0 = cx.cohomology(0)
         h1 = cx.cohomology(1)

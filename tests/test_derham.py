@@ -39,7 +39,6 @@ from padicforms.derham import (
 from padicforms.linalg import (
     EchelonKernel,
     IntFactorization,
-    PLocalFactorization,
     SparseIntMatrix,
     apply_rows,
     columns_to_rows,
@@ -48,8 +47,10 @@ from padicforms.linalg import (
     lattice_membership,
     p_local_kernel,
 )
-from padicforms.decalage import TensorLevels, VLevels, tensor_cochain_algebra
+from padicforms.decalage import TensorLevels, VLevels
 from padicforms.simplicial import boundary_delta, delta, rp2, sphere
+
+from p_local_reference import fraction_p_local_snf
 
 
 def mono(exps, dx=()):
@@ -166,7 +167,7 @@ def test_poincare_lemma_level_lattices():
 def test_face_and_degeneracy_simplicial_identities():
     # d_i d_j = d_{j-1} d_i on all lattice generators for n <= 2, W <= 4
     for p in (2, 3):
-        levels = OmegaLevels(4, p, 2)
+        levels = OmegaLevels(4, p)
         n = 2
         lv = levels.level(n)
         for k in range(n + 1):
@@ -203,7 +204,7 @@ def _columns(rows):
 
 
 def test_degeneracy_keeps_lattice():
-    levels = OmegaLevels(4, 2, 1)
+    levels = OmegaLevels(4, 2)
     x1sq = OmegaElement.monomial(mono((2,)))
     up = omega_degeneracy(levels, 1, 0, x1sq)
     # s_0 at level 1 sends x_1 to x_2
@@ -214,7 +215,7 @@ def test_degeneracy_keeps_lattice():
 
 
 def test_face_zero_introduces_p_minus_sum():
-    levels = OmegaLevels(4, 2, 1)
+    levels = OmegaLevels(4, 2)
     x1 = OmegaElement.monomial(mono((1,)))
     img = omega_face(levels, 1, 0, x1)
     # level 0 chart has no variables: x_1 |-> p
@@ -506,9 +507,9 @@ def test_diff_columns_match_dense_reference():
     row order, with the same values and types."""
     p = 2
     omega = OmegaLevels(3, p)
-    v = VLevels(p, 2, 3)
-    families = [omega, v, tensor_cochain_algebra(v, omega, 3),
-                tensor_cochain_algebra(VLevels(3, 2, 2), OmegaLevels(2, 3), 2)]
+    v = VLevels(p)
+    families = [omega, v, TensorLevels(v, omega),
+                TensorLevels(VLevels(3), OmegaLevels(2, 3))]
     for levels in families:
         for n in range(3):
             for k in range(4):
@@ -555,20 +556,17 @@ def test_diff_in_sections_matches_dense_ambient_diff_omega():
     for p in (2, 3):
         for space in spaces:
             q_max = min(2, space.dimension)
-            levels = OmegaLevels(3, p, space.dimension)
+            levels = OmegaLevels(3, p)
             _assert_diff_matches_dense(SectionComplex(space, levels, q_max))
 
 
 def test_diff_in_sections_matches_dense_ambient_diff_tensor():
-    from padicforms.decalage import VLevels, tensor_cochain_algebra
     from padicforms.massey import random_space
     spaces = [sphere(1), delta(1), boundary_delta(2), random_space(5, 2, 3, 0)]
     for p in (2, 3):
         for space in spaces:
             q_max = min(1, space.dimension)
-            tensor = tensor_cochain_algebra(
-                VLevels(p, space.dimension + 1, q_max),
-                OmegaLevels(2, p, space.dimension), q_max)
+            tensor = TensorLevels(VLevels(p), OmegaLevels(2, p))
             _assert_diff_matches_dense(SectionComplex(space, tensor, q_max))
 
 
@@ -591,7 +589,7 @@ def test_face_and_degeneracy_builder_match_frozen_copies():
     each basis vector, against the matrices built monomial by monomial."""
     for p in (2, 3, 5):
         for w in range(1, 5):
-            levels = OmegaLevels(w, p, 3)
+            levels = OmegaLevels(w, p)
             for n in range(4):
                 for i in range(n + 1):
                     for k in range(n + 1):
@@ -665,7 +663,8 @@ def test_held_membership_is_lattice_membership():
 def _frozen_quotient(kernel, relations, p):
     """The quotient routine that solves in the kernel basis itself
     (coordinates in a basis are unique), kept here as the reference for the
-    one that reads through the factorization of d."""
+    one that reads through the factorization of d.  U' and the columns of
+    U'^-1 come from the Fraction reference elimination."""
     s, ambient = len(kernel), len(kernel[0])
     solve = _held_membership(kernel, p)
     coords = []
@@ -676,13 +675,14 @@ def _frozen_quotient(kernel, relations, p):
     if not coords:
         gens = {i: list(kernel[i]) for i in range(s)}
         return solve, identity_rows(s), [0] * s, gens
-    rfac = PLocalFactorization.from_columns(coords, s, p)
-    orders = list(rfac.diag) + [0] * (s - len(rfac.diag))
+    uprime, diag, _, uinv = fraction_p_local_snf(columns_to_rows(coords, s), p)
+    orders = list(diag) + [0] * (s - len(diag))
     gens = {}
     for i, d in enumerate(orders):
         if d != 1:
-            gens[i] = combine_columns(kernel, rfac.inverse_column(i), ambient)
-    return solve, rfac.left_rows(), orders, gens
+            column = [uinv[i].get(t, 0) for t in range(s)]
+            gens[i] = combine_columns(kernel, column, ambient)
+    return solve, uprime, orders, gens
 
 
 def _frozen_p_local_cohomology(d_prev, d_cur, p):
@@ -768,15 +768,12 @@ def _products(cx, q_max, generators, class_coordinates):
 
 
 def _frozen_sections_cases():
-    from padicforms.decalage import VLevels, tensor_cochain_algebra
     from padicforms.massey import random_space
     for seed, p in itertools.product(range(8), (2, 3)):
         space = random_space(seed, 3, 5, 3)
         q_max = min(3, space.dimension)
-        yield space, OmegaLevels(3, p, space.dimension), q_max
-        yield space, tensor_cochain_algebra(
-            VLevels(p, space.dimension + 1, q_max),
-            OmegaLevels(2, p, space.dimension), q_max), q_max
+        yield space, OmegaLevels(3, p), q_max
+        yield space, TensorLevels(VLevels(p), OmegaLevels(2, p)), q_max
 
 
 def test_section_complex_matches_frozen_refactoring_copy():
@@ -804,19 +801,17 @@ def test_section_complex_matches_frozen_refactoring_copy():
 
 # -- the weight W-1 pass and mod-p universal coefficients ------------------------
 
-def _family(kind, space, weight, p, q_max):
-    from padicforms.decalage import VLevels, tensor_cochain_algebra
+def _family(kind, weight, p):
     if kind == "omega":
         return OmegaLevels(weight, p)
-    return tensor_cochain_algebra(VLevels(p, space.dimension + 1, q_max),
-                                  OmegaLevels(weight, p), q_max)
+    return TensorLevels(VLevels(p), OmegaLevels(weight, p))
 
 
 def _frozen_lower_weight_pass(space, kind, weight, p, q_max):
     """The direct weight W-1 pass as stable_cohomology made it before its
     invariants were read off the weight-W complex: a second SectionComplex
     on the W-1 family, and its full reports."""
-    cx = SectionComplex(space, _family(kind, space, weight - 1, p, q_max), q_max)
+    cx = SectionComplex(space, _family(kind, weight - 1, p), q_max)
     return {q: cx.cohomology(q).invariants() for q in range(q_max + 1)}
 
 
@@ -838,7 +833,7 @@ def test_lower_weight_invariants_match_direct_pass():
         case = (space.name, kind, weight, p)
         q_max = min(3, space.dimension)
         cx, reports, stable = stable_cohomology(
-            space, _family(kind, space, weight, p, q_max), q_max)
+            space, _family(kind, weight, p), q_max)
         direct = _frozen_lower_weight_pass(space, kind, weight, p, q_max)
         assert cx.lower_weight_invariants() == direct, case
         assert stable == {q: rep.invariants() == direct[q]
@@ -871,7 +866,7 @@ def test_section_complex_satisfies_mod_p_universal_coefficients():
     torsion_seen = 0
     for space, kind, weight, p in _universal_coefficient_cases():
         q_max = min(3, space.dimension)
-        cx = SectionComplex(space, _family(kind, space, weight, p, q_max), q_max)
+        cx = SectionComplex(space, _family(kind, weight, p), q_max)
         dims = {q: len(cx.sections[q]) for q in range(q_max + 2)}
         ranks = {q: _mod_p_rank(cx.diff_in_sections(q), p, dims[q])
                  for q in range(q_max + 1)}

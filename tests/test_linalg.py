@@ -21,6 +21,7 @@ from padicforms.linalg import (
     cohomology,
     combine_columns,
     hnf_rows,
+    identity_rows,
     integer_rows,
     lattice_membership,
     p_local_cohomology,
@@ -39,6 +40,8 @@ from padicforms.simplicial import (
     rp2,
     sphere,
 )
+
+from p_local_reference import fraction_p_local_snf
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -230,7 +233,7 @@ def test_hnf_membership_iff_row_span():
 
 def test_p_local_snf_diag_powers():
     a = [[Fraction(2), Fraction(1, 3)], [Fraction(4), Fraction(6)]]
-    u, diag, v = p_local_snf(a, 2)
+    diag = p_local_snf(a, 2).diag
     from padicforms.arith import valuation
     exps = [valuation(d, 2) for d in diag if d]
     assert exps == sorted(exps)
@@ -250,7 +253,7 @@ def test_p_local_rank_matches_integer_snf():
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
         for p in (2, 3):
-            _, pdiag, _ = p_local_snf([[Fraction(x) for x in row] for row in a], p)
+            pdiag = p_local_snf([[Fraction(x) for x in row] for row in a], p).diag
             pexps = [valuation(d, p) for d in pdiag if d]
             free = sum(1 for e in pexps if e == 0)
             tors = sorted(int(e) for e in pexps if e > 0)
@@ -455,7 +458,7 @@ def test_p_local_exponents_are_valuations_of_invariant_factors(rows, p):
     _, D, _ = smith_normal_form(M(rows))
     k = min(len(rows), len(rows[0]))
     want = [int_valuation(D[(i, i)], p) for i in range(k) if D[(i, i)]]
-    _, diag, _ = p_local_snf([[Fraction(x) for x in row] for row in rows], p)
+    diag = p_local_snf([[Fraction(x) for x in row] for row in rows], p).diag
     assert [valuation(d, p) for d in diag if d] == want
 
 
@@ -594,7 +597,7 @@ def test_held_p_local_factorization_matches_one_shot(rows, p, data):
             target = [sum(r[j] * x[j] for j in range(ncols)) for r in frac]
         else:
             target = [Fraction(t) for t in data.draw(int_vectors(len(rows)))]
-        got = _check_p_local_solve(frac, target, p, _fraction_p_local_snf(frac, p))
+        got = _check_p_local_solve(frac, target, p, fraction_p_local_snf(frac, p))
         assert got is not None or not in_image
 
 
@@ -611,14 +614,17 @@ def test_int_inverse_columns_invert_u(rows):
 @ORACLE
 @given(int_rows(), st.sampled_from([2, 3]))
 def test_p_local_inverse_columns_invert_u(rows, p):
+    """Each column of U^-1 is p-integral, the reference's U maps it to the
+    unit vector, and ``left`` (U*y by forward substitution) maps it back."""
     frac = [[Fraction(x, p + 1) for x in row] for row in rows]
     fac = PLocalFactorization(frac, p)
+    u = fraction_p_local_snf(frac, p)[0]
     n = len(rows)
-    assert len(fac.uinv) == n
-    for i, w in enumerate(fac.uinv):
-        assert all(c.denominator % p for c in w.values())
-        assert [sum(r[t] * c for t, c in w.items()) for r in fac.u] == \
-            [int(t == i) for t in range(n)]
+    for i in range(n):
+        w, unit = fac.inverse_column(i), [int(t == i) for t in range(n)]
+        assert all(c.denominator % p for c in w)
+        assert [sum(r[t] * c for t, c in enumerate(w)) for r in u] == unit
+        assert fac.left(w) == unit
 
 
 @ORACLE
@@ -628,7 +634,7 @@ def test_gf_kernel_size_is_corank_of_p_local_snf(rows, p):
     ker = EchelonKernel(M(rows), p).kernel()
     for v in ker:
         assert all(x % p == 0 for x in M(rows).mul_vector(v))
-    _, diag, _ = p_local_snf([[Fraction(x) for x in row] for row in rows], p)
+    diag = p_local_snf([[Fraction(x) for x in row] for row in rows], p).diag
     assert len(ker) == ncols - sum(1 for d in diag if d and valuation(d, p) == 0)
 
 
@@ -670,48 +676,6 @@ def p_integral_rows(p, max_size=8):
                            min_size=n, max_size=n)))
 
 
-def _fraction_p_local_snf(rows, p):
-    """Reference: the elimination over Fraction that p_local_snf replaced."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    n, m = len(a), len(a[0]) if a else 0
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    v = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    perm, uinv = list(range(n)), []
-    k = 0
-    while k < min(n, m):
-        pivot, best = None, None
-        for i in range(k, n):
-            for j in range(k, m):
-                if a[i][j] and (best is None or valuation(a[i][j], p) < best):
-                    best, pivot = valuation(a[i][j], p), (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[k], a[pi], u[k], u[pi] = a[pi], a[k], u[pi], u[k]
-        perm[k], perm[pi] = perm[pi], perm[k]
-        for r in a + v:
-            r[k], r[pj] = r[pj], r[k]
-        unit = a[k][k] / Fraction(p) ** best
-        a[k] = [x / unit for x in a[k]]
-        u[k] = [x / unit for x in u[k]]
-        w_k, piv = {perm[k]: unit}, a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / piv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                u[i] = [x - f * y for x, y in zip(u[i], u[k])]
-                w_k[perm[i]] = f
-        uinv.append(w_k)
-        for j in range(k + 1, m):
-            if a[k][j]:
-                f = a[k][j] / piv
-                for r in a + v:
-                    r[j] -= f * r[k]
-        k += 1
-    uinv += [{perm[i]: Fraction(1)} for i in range(k, n)]
-    return u, [a[i][i] for i in range(min(n, m))], v, uinv
-
-
 def _check_p_local_solve(rows, target, p, snf):
     """p_local_solve against the Fraction solve through a Smith form of rows:
     None exactly when that is None, else a p-integral solution, and the same
@@ -745,20 +709,43 @@ def _fraction_solve(snf, target, p):
 @ORACLE
 @given(data=st.data())
 def test_p_local_snf_matches_fraction_elimination(p, data):
+    """p_local_snf and PLocalFactorization against the Fraction reference:
+    the diagonal, the kernel columns V[:, r:] (the identity on ``free``),
+    ``acols`` over the p-unit row scales, every column of U^-1, U*y, and the
+    solves.  Copies of rows (times 1, -1, a p-unit or p) and zero rows are
+    mixed in, so rows become all zero during the elimination."""
     rows = data.draw(p_integral_rows(p))
-    u, diag, v, uinv = _fraction_p_local_snf(rows, p)
-    snf = p_local_snf(rows, p)
-    assert snf[0] == u and snf[1] == diag and snf[2] == v
-    assert snf.uinv == uinv
+    for _ in range(data.draw(st.integers(0, 4))):
+        src = data.draw(st.integers(-1, len(rows) - 1))
+        scale = data.draw(st.sampled_from([1, -1, p + 1, p]))
+        extra = [Fraction(0)] * len(rows[0]) if src < 0 else \
+            [scale * x for x in rows[src]]
+        rows.insert(data.draw(st.integers(0, len(rows))), extra)
+    u, diag, v, uinv = fraction_p_local_snf(rows, p)
     n, m = len(rows), len(rows[0])
     ua = [[sum(u[i][s] * rows[s][t] for s in range(n)) for t in range(m)]
           for i in range(n)]
     uav = [[sum(ua[i][t] * v[t][j] for t in range(m)) for j in range(m)]
            for i in range(n)]
     assert uav == [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
-    for i, w in enumerate(uinv):
-        assert [sum(r[t] * c for t, c in w.items()) for r in u] == \
-            [int(t == i) for t in range(n)]
+    rank = sum(1 for d in diag if d)
+    kernel = [[row[j] for row in v] for j in range(rank, m)]
+    snf = p_local_snf(rows, p)
+    assert snf.diag == diag and snf.kernel == kernel
+    assert [[col[f] for f in snf.free] for col in kernel] == identity_rows(m - rank)
+    assert all(s % p for s in snf.scales)
+    assert snf.acols == [[(i, rows[i][j] * snf.scales[i]) for i in range(n) if rows[i][j]]
+                         for j in range(m)]
+    assert all(type(x) is int for col in snf.acols for _, x in col)
+    fac = PLocalFactorization(rows, p)
+    assert fac.rank == rank and fac.kernel() == kernel
+    assert PLocalFactorization(integer_rows(rows, p), p, m).kernel() == kernel
+    for i in range(n):
+        assert fac.inverse_column(i) == [uinv[i].get(t, 0) for t in range(n)]
+        assert fac.left([int(t == i) for t in range(n)]) == [row[i] for row in u]
+    y = data.draw(st.lists(st.builds(Fraction, st.integers(-6, 6), p_units(p)),
+                           min_size=n, max_size=n))
+    assert fac.left(y) == [sum(c * t for c, t in zip(row, y)) for row in u]
     x = data.draw(int_vectors(m))
     image = [sum(r[j] * x[j] for j in range(m)) for r in rows]
     other = data.draw(st.lists(st.builds(Fraction, st.integers(-6, 6),
@@ -767,35 +754,6 @@ def test_p_local_snf_matches_fraction_elimination(p, data):
     for target in (image, [t / p for t in image], other):
         _check_p_local_solve(rows, target, p, (u, diag, v, uinv))
     assert p_local_solve(rows, image, p) is not None
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-@ORACLE
-@given(data=st.data())
-def test_p_local_snf_without_u_matches_full_mode(p, data):
-    """Without U, on the cleared integer rows: the kernel columns, the free
-    columns, the diagonal and acols of the full mode.  Copies of rows (times
-    1, a p-unit or p) and zero rows are mixed in, so rows become all zero
-    during the elimination."""
-    rows = data.draw(p_integral_rows(p))
-    for _ in range(data.draw(st.integers(0, 4))):
-        src = data.draw(st.integers(-1, len(rows) - 1))
-        scale = data.draw(st.sampled_from([1, -1, p + 1, p]))
-        extra = [Fraction(0)] * len(rows[0]) if src < 0 else \
-            [scale * x for x in rows[src]]
-        rows.insert(data.draw(st.integers(0, len(rows))), extra)
-    m = len(rows[0])
-    full = p_local_snf(rows, p)
-    bare = p_local_snf(integer_rows(rows, p), p, False)
-    rank = sum(1 for d in full[1] if d)
-    assert bare[1] == full[1]
-    assert bare.free == full.free
-    assert bare.acols == full.acols
-    assert bare.kernel == [[row[j] for row in full[2]] for j in range(rank, m)]
-    assert (bare[0], bare[2], bare.uinv) == (None,) * 3
-    held = PLocalFactorization(integer_rows(rows, p), p, m, with_u=False)
-    assert held.kernel() == PLocalFactorization(rows, p).kernel() == bare.kernel
-    assert held.rank == rank
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -812,11 +770,7 @@ def test_p_local_snf_rejects_p_in_a_denominator(p, data):
 
 def _corrupt_last_inverse_column(snf):
     if snf.uinv:
-        col = snf.uinv[-1]
-        if isinstance(col, dict):
-            col[0] = col.get(0, 0) + 1
-        else:
-            col[0] += 1
+        snf.uinv[-1][0] += 1
     return snf
 
 
@@ -848,10 +802,17 @@ def test_corrupt_kernel_row_of_v_inverse_raises(monkeypatch):
 
 
 def test_corrupt_p_local_inverse_column_raises(monkeypatch):
+    """One entry of a pivot column of V off by one: the column of U^-1 read
+    off it is not a p-unit on its own row."""
     real = linalg.p_local_snf
-    monkeypatch.setattr(linalg, "p_local_snf",
-                        lambda rows, p, *mode: _corrupt_last_inverse_column(
-                            real(rows, p, *mode)))
+
+    def corrupt(rows, p):
+        snf = real(rows, p)
+        support, values, den = snf.pivots[-1]
+        snf.pivots[-1] = support, (values[0] + 1,) + values[1:], den
+        return snf
+
+    monkeypatch.setattr(linalg, "p_local_snf", corrupt)
     with pytest.raises(StructuralError, match="inverse column"):
         p_local_cohomology([[Fraction(2)]], [], 2)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -92,6 +93,24 @@ def test_obstruction_fixture_product():
     rep = dga.cohomology(2, ("GF", 2))
     assert rep.free_rank == 1
     assert not rep.is_coboundary(result.representative)
+
+
+def test_obstruction_fixture_products_have_the_target_length():
+    """Every product and cup-1 product of basis vectors, in every pair of
+    degrees up to one past the top, has its target degree's dimension; the
+    fixture and its JSON round trip agree."""
+    dga = obstruction_fixture()
+    loaded = fixture_from_json(fixture_to_json(dga))
+    top = dga.top_degree() + 1
+    for q1, q2 in itertools.product(range(top + 1), repeat=2):
+        for i, j in itertools.product(range(dga.dim(q1)), range(dga.dim(q2))):
+            v1 = [int(t == i) for t in range(dga.dim(q1))]
+            v2 = [int(t == j) for t in range(dga.dim(q2))]
+            for fixture in (dga, loaded):
+                assert len(fixture.mul(q1, q2, v1, v2)) == dga.dim(q1 + q2)
+                assert len(fixture.cup1(q1, q2, v1, v2)) == dga.dim(q1 + q2 - 1)
+            assert dga.mul(q1, q2, v1, v2) == loaded.mul(q1, q2, v1, v2)
+            assert dga.cup1(q1, q2, v1, v2) == loaded.cup1(q1, q2, v1, v2)
 
 
 def test_obstruction_fixture_oracle_equality():
