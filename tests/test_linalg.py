@@ -759,6 +759,37 @@ def test_p_local_snf_matches_fraction_elimination(p, data):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @ORACLE
 @given(data=st.data())
+def test_p_local_snf_without_u_matches_full_mode(p, data):
+    """p_local_snf, which never forms U, on the cleared integer rows and on
+    the Fraction rows: the diagonal and the kernel columns of the full
+    Fraction elimination (U, diag, V), and the same free columns and acols.
+    Copies of rows (times 1, a p-unit or p) and zero rows are mixed in, so
+    rows become all zero during the elimination."""
+    rows = data.draw(p_integral_rows(p))
+    for _ in range(data.draw(st.integers(0, 4))):
+        src = data.draw(st.integers(-1, len(rows) - 1))
+        scale = data.draw(st.sampled_from([1, -1, p + 1, p]))
+        extra = [Fraction(0)] * len(rows[0]) if src < 0 else \
+            [scale * x for x in rows[src]]
+        rows.insert(data.draw(st.integers(0, len(rows))), extra)
+    m = len(rows[0])
+    _, diag, v, _ = fraction_p_local_snf(rows, p)
+    rank = sum(1 for d in diag if d)
+    full = p_local_snf(rows, p)
+    bare = p_local_snf(integer_rows(rows, p), p)
+    assert bare.diag == full.diag == diag
+    assert bare.free == full.free
+    assert bare.acols == full.acols
+    assert bare.kernel == full.kernel == [[row[j] for row in v] for j in range(rank, m)]
+    assert bare.scales == [1] * len(rows)
+    held = PLocalFactorization(integer_rows(rows, p), p, m)
+    assert held.kernel() == PLocalFactorization(rows, p).kernel() == bare.kernel
+    assert held.rank == rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@ORACLE
+@given(data=st.data())
 def test_p_local_snf_rejects_p_in_a_denominator(p, data):
     rows = data.draw(p_integral_rows(p))
     i = data.draw(st.integers(0, len(rows) - 1))
