@@ -90,11 +90,6 @@ def valuation(q, p):
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
-def is_p_integral(q, p):
-    """True iff q lies in the local ring at p, i.e. p does not divide its denominator."""
-    return Fraction(q).denominator % p != 0
-
-
 def binomial(n, k):
     """Exact binomial coefficient; 0 when k > n or k < 0 (convention)."""
     if k < 0 or k > n:
@@ -117,13 +112,3 @@ def factorial_valuation(n, p):
         q *= p
     return v
 
-
-def p_power_over_factorial_valuation(i, p):
-    """v_p(p**i / i!) = i - v_p(i!).
-
-    This is the valuation of the i-th divided power of p itself; callers check
-    the sign when they need p-integrality.
-    """
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    return i - factorial_valuation(i, p)

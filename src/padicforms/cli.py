@@ -31,6 +31,7 @@ from padicforms.massey import (
     DgaData,
     UndefinedMasseyProduct,
     fixture_from_json,
+    massey_coset_stable,
     massey_scaling_check,
     rectification_obstruction,
     triple_massey,
@@ -256,6 +257,9 @@ def run_massey(args, config):
         return payload, 0 if ok else 1
     result = triple_massey(dga, vectors[0], vectors[1], vectors[2], ring,
                            degrees)
+    if not massey_coset_stable(dga, vectors[0], vectors[1], vectors[2], ring,
+                               degrees):
+        raise StructuralError("a second defining system gave another coset")
     return massey_report(manifest, result), 0
 
 

@@ -20,10 +20,8 @@ from padicforms.linalg import (
     SparseIntMatrix,
     StructuralError,
     cohomology,
-    combine_columns,
     denominator_rows,
     hnf_rows,
-    identity_rows,
     mat_vec,
 )
 from padicforms.simplicial import delta, normalized_cochain_complex
@@ -136,30 +134,6 @@ def eta_p(complex_, p):
     return ShiftedComplex(complex_, bases, f"eta_{p}")
 
 
-def eta_equals_shifted(space, p):
-    """Compare eta_p(C*(X)) and build_D(X) lattices degree by degree.
-
-    Returns (equal_everywhere, per-degree detail).  D is always contained in
-    eta (asserted); equality fails exactly when some mod-p cocycle has a
-    non-bounding Bockstein.  More precisely, y -> dy/p maps eta^n/D^n
-    isomorphically onto H^{n+1}(X; Z)[p], so the index [eta^n : D^n] is p^t
-    with t the number of p-power torsion summands of H^{n+1}, and t = 0 in
-    the top degree.
-    """
-    cx = normalized_cochain_complex(space)
-    d_side = build_D(space, p)
-    e_side = eta_p(cx, p)
-    detail = {}
-    for n in range(cx.top_degree() + 1):
-        equal = d_side.bases[n] == e_side.bases[n]
-        for vec in d_side.bases[n]:
-            if not e_side.contains(n, vec):
-                raise StructuralError(
-                    "the p-shifted lattice escaped the decalage lattice")
-        detail[n] = equal
-    return all(detail.values()), detail
-
-
 def multiplication_closed(space, p, shifted=None):
     """Cup products of lattice basis elements stay in the lattice (exhaustive)."""
     shifted = shifted or build_D(space, p)
@@ -267,24 +241,14 @@ class VLevels:
             self._degens[key] = self._structure_rows(n, n + 1, vmap, k)
         return self._degens[key]
 
-    def multiply(self, n, k1, v1, k2, v2):
-        src = self.shifted(n)
-        amb1 = combine_columns(src.bases[k1], v1, self.space(n).n_cells(k1))
-        amb2 = combine_columns(src.bases[k2], v2, self.space(n).n_cells(k2))
-        prod = cup_on_vectors(self.space(n), k1, k2, amb1, amb2, "Z")
-        sol = src.coordinates(k1 + k2, prod)
-        if sol is None:
-            raise StructuralError("product left the shifted lattice")
-        return [Fraction(x) for x in sol]
-
 
 class TensorLevels:
     """Degreewise tensor product of two level families.
 
     Component (n, k) has basis pairs (i, a, b) with i + j = k; differential
-    d(a x b) = da x b + (-1)^i a x db; faces, degeneracies and products act
-    componentwise (with the Koszul sign for products).  The weight of a basis
-    pair is that of its second factor, and ``weight`` is the second family's.
+    d(a x b) = da x b + (-1)^i a x db; faces and degeneracies act
+    componentwise.  The weight of a basis pair is that of its second factor,
+    and ``weight`` is the second family's.
     """
 
     def __init__(self, first, second):
@@ -364,33 +328,3 @@ class TensorLevels:
     def degen_rows(self, n, i, k):
         return self._pointwise(self.first.degen_rows, self.second.degen_rows,
                                n, i, k, n + 1)
-
-    def multiply(self, n, k1, v1, k2, v2):
-        src1 = self.basis(n, k1)
-        src2 = self.basis(n, k2)
-        tgt = self.basis(n, k1 + k2)
-        index = {t: pos for pos, t in enumerate(tgt)}
-        out = [Fraction(0)] * len(tgt)
-        degrees = range(max(k1, k2) + 1)
-        first_units = {i: identity_rows(self.first.dims(n, i)) for i in degrees}
-        second_units = {j: identity_rows(self.second.dims(n, j)) for j in degrees}
-        for c1, (i1, a1, b1) in enumerate(src1):
-            if not v1[c1]:
-                continue
-            for c2, (i2, a2, b2) in enumerate(src2):
-                if not v2[c2]:
-                    continue
-                j1, j2 = k1 - i1, k2 - i2
-                sign = (-1) ** (j1 * i2)
-                fa = self.first.multiply(n, i1, first_units[i1][a1],
-                                         i2, first_units[i2][a2])
-                sb = self.second.multiply(n, j1, second_units[j1][b1],
-                                          j2, second_units[j2][b2])
-                coeff = v1[c1] * v2[c2] * sign
-                for ra, ca in enumerate(fa):
-                    if not ca:
-                        continue
-                    for rb, cb in enumerate(sb):
-                        if cb:
-                            out[index[(i1 + i2, ra, rb)]] += coeff * ca * cb
-        return out

@@ -29,7 +29,6 @@ from padicforms.divided import (
     variable,
 )
 from padicforms.linalg import (
-    EchelonKernel,
     IntFactorization,
     PLocalFactorization,
     SparseIntMatrix,
@@ -159,20 +158,6 @@ class OmegaLevel:
             if val is not None and val < 0:
                 raise StructuralError(
                     "closure generator escapes the divided-power lattice")
-
-    def closure_comparison(self):
-        """Report whether the closure span equals the naive divided-power span.
-
-        Returned per (p, n, weight) as data: the monomial span contains every
-        closure generator iff all coordinates are p-integral; the reverse
-        containment is structural.  A level is only built once the check
-        has passed, so the least valuation met is 0.
-        """
-        return {
-            "prime": self.prime, "level": self.n, "weight": self.weight,
-            "closure_equals_naive_span": True,
-            "minimal_generator_valuation": 0,
-        }
 
 
 def _bounded_exponents(n, budget):
@@ -501,11 +486,6 @@ class SectionComplex:
                 for q in range(self.q_max + 1)}
 
 
-def omega_of_space(space, weight, q_max, prime):
-    """Compatible form families on a library space, at truncation."""
-    return SectionComplex(space, omega_levels(weight, prime), q_max)
-
-
 # ---------------------------------------------------------------------------
 # cohomology of omega with stability flags
 # ---------------------------------------------------------------------------
@@ -791,7 +771,7 @@ def _connecting_valuation(levels, zmod, gen_coords, k):
 
 
 # ---------------------------------------------------------------------------
-# Sym(t, dt) over F_p at truncation, and the rational contraction
+# Sym(t, dt) over F_p at truncation, and its rational control
 # ---------------------------------------------------------------------------
 
 class PolynomialForms:
@@ -833,9 +813,9 @@ class PolynomialForms:
 def apl_mod_p(n, prime, weight):
     """Cohomology of the truncated mod-p polynomial forms on the n-simplex.
 
-    Returns per-degree F_p dimensions, the cocycle monomials in degree <= 1
-    for n = 1 (for comparison against the even-power description), and the
-    class count for n = 2 against the tuple rule.
+    Returns the per-degree F_p dimensions and cohomology reports (whose
+    degree-0 generators span the cocycles, since H^0 = ker d^0), the monomial
+    basis per degree, and the forms themselves.
     """
     if n > 2:
         raise ValueError("desk-scale bound n <= 2")
@@ -856,17 +836,6 @@ def apl_mod_p(n, prime, weight):
     return out
 
 
-def apl_cocycle_monomials(n, prime, weight):
-    """Monomials spanning the mod-p cocycles, per degree (exact, by kernel)."""
-    forms = PolynomialForms(n, weight)
-    result = {}
-    for k in range(n + 1):
-        rows = forms.diff_rows(k)
-        ker = EchelonKernel(SparseIntMatrix.from_rows(rows, forms.dims(k)), prime).kernel()
-        result[k] = (forms.basis[k], ker)
-    return result
-
-
 def rational_poincare_dims(n, weight):
     """Reduced cohomology dimensions of the truncated forms over Q (control)."""
     forms = PolynomialForms(n, weight)
@@ -879,38 +848,3 @@ def rational_poincare_dims(n, weight):
         dims.append(forms.dims(k) - rk_cur - rk_prev)
     dims[0] -= 1  # reduced: remove the constants
     return dims
-
-
-def contraction_K(coeffs):
-    """The interval contraction on rational 1-forms: t^n dt -> t^{n+1}/(n+1).
-
-    coeffs maps n to the coefficient of t^n dt; returns a map m -> coefficient
-    of t^m of the primitive.
-    """
-    out = {}
-    for n, c in coeffs.items():
-        out[n + 1] = out.get(n + 1, Fraction(0)) + Fraction(c) / (n + 1)
-    return {k: v for k, v in out.items() if v}
-
-
-def contraction_homotopy_defect(poly):
-    """(dK + Kd)(f) - (f - f(0)) for a rational polynomial f ({deg: coeff}).
-
-    Zero for every polynomial: this is the homotopy identity of the
-    contraction on the interval.
-    """
-    poly = {k: Fraction(v) for k, v in poly.items() if v}
-    # d f = sum k c_k t^{k-1} dt;  K(d f) = sum c_k t^k - (k = 0 term)
-    kd = {}
-    for k, c in poly.items():
-        if k >= 1:
-            kd[k] = kd.get(k, Fraction(0)) + c
-    # f is a 0-form: K f = 0, so dK f = 0
-    want = dict(poly)
-    want.pop(0, None)
-    defect = {}
-    for k in set(kd) | set(want):
-        v = kd.get(k, Fraction(0)) - want.get(k, Fraction(0))
-        if v:
-            defect[k] = v
-    return defect

@@ -6,7 +6,7 @@ finite Fraction combinations of monomials.  Multiplication carries the
 binomial coefficients of divided powers and the Koszul sign of the wedge
 part; the differential sends x^[k] to x^[k-1] dx.
 
-gamma_of_sum expands a divided power of a linear form (possibly with constant
+gamma_power expands a divided power of a linear form (possibly with constant
 term) through gamma^n(u+v) = sum gamma^i(u) gamma^{n-i}(v), using
 gamma^i(c) = c^i/i! on constants; this is what face maps substituting
 x -> p - sum(x) feed on.
@@ -116,9 +116,6 @@ class OmegaElement:
             out[m] = out.get(m, Fraction(0)) + c
         return OmegaElement(self.nvars, out)
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def scale(self, c):
         c = Fraction(c)
         return OmegaElement(self.nvars, {m: v * c for m, v in self.coeffs.items()})
@@ -183,7 +180,7 @@ class OmegaElement:
 
         var_images[i] is the LinearForm image of x_i, dx_images[i] the (linear,
         constant-free) image of dx_i as an OmegaElement of form degree <= 1.
-        Divided powers of x_i expand through gamma_of_sum.
+        Divided powers of x_i expand through gamma_power.
         """
         out = OmegaElement.zero(target_nvars)
         for mon, c in self.coeffs.items():
@@ -258,28 +255,6 @@ def gamma_power(form, k):
         mon = DividedMonomial(tuple(exps), ())
         out[mon] = out.get(mon, Fraction(0)) + coeff
     return OmegaElement(n, out)
-
-
-def gamma_of_sum(terms, k, nvars, prime=None):
-    """Divided power of a linear combination of variables and constants.
-
-    terms is a list of (index-or-None, scalar): index i means scalar * x_i,
-    None means a constant summand (the session prime p, typically).
-    """
-    constant = Fraction(0)
-    coeffs = [Fraction(0)] * nvars
-    for idx, scalar in terms:
-        if idx is None:
-            constant += Fraction(scalar)
-        else:
-            coeffs[idx - 1] += Fraction(scalar)
-    return gamma_power(LinearForm(constant, tuple(coeffs)), k)
-
-
-def gamma_multiply(m1, m2, max_weight=None):
-    """Product of two divided monomials as an OmegaElement."""
-    return OmegaElement.monomial(m1).multiply(OmegaElement.monomial(m2),
-                                              max_weight=max_weight)
 
 
 def _compositions(total, parts):

@@ -3,9 +3,9 @@
 The defining-system convention: with abar = (-1)^{|a|+1} a, pick u and v with
 du = abar cup b and dv = bbar cup c; the product is represented by
 ubar cup c + abar cup v (over F_2: u cup c + a cup v).  The representative's
-coset modulo a.H^{|b|+|c|-1} + H^{|a|+|b|-1}.c is the invariant; independence
-of the chosen solves is re-verified on every call with a second, shifted
-defining system.
+coset modulo a.H^{|b|+|c|-1} + H^{|a|+|b|-1}.c is the invariant; the CLI
+re-verifies that it does not depend on the chosen solves for every plain
+triple, with a second, shifted defining system (``massey_coset_stable``).
 
 Computations run on DgaData: differentials plus a product (and optionally a
 cup-1) given degreewise.  Spaces, p-shifted lattices and explicit fixtures all
@@ -221,17 +221,14 @@ class MasseyResult:
     label: str = ""
 
 
-def triple_massey(source, a, b, c, ring, degrees=None, shift=0):
-    """<a, b, c> on a space or DgaData, over ("GF", p) or ("Zmod", p^N).
+def triple_massey(dga, a, b, c, ring, degrees, shift=0):
+    """<a, b, c> on a DgaData, over ("GF", p) or ("Zmod", p^N).
 
-    a, b, c are cocycle coefficient vectors; degrees may be given explicitly
-    for a DgaData (for spaces they are inferred from vector lengths only when
-    unambiguous, so passing degrees is recommended).
+    a, b, c are cocycle coefficient vectors in the degrees
+    (|a|, |b|, |c|); shift picks a different solve for the defining system
+    (see ``solve_over``).
     """
-    dga = source if isinstance(source, DgaData) else DgaData.from_space(source)
     m = ring_modulus(ring)
-    if degrees is None:
-        raise ValueError("degrees=(|a|, |b|, |c|) is required")
     qa, qb, qc = degrees
     for vec, q, name in ((a, qa, "a"), (b, qb, "b"), (c, qc, "c")):
         if any(x % m for x in dga.diff(q).mul_vector(list(vec))):
@@ -277,9 +274,8 @@ def indeterminacy_generators(dga, a, c, degrees, ring):
     return out
 
 
-def massey_coset_stable(source, a, b, c, ring, degrees):
+def massey_coset_stable(dga, a, b, c, ring, degrees):
     """Recompute with an independent defining system; cosets must agree."""
-    dga = source if isinstance(source, DgaData) else DgaData.from_space(source)
     first = triple_massey(dga, a, b, c, ring, degrees)
     second = triple_massey(dga, a, b, c, ring, degrees, shift=1)
     m = ring_modulus(ring)
@@ -288,9 +284,8 @@ def massey_coset_stable(source, a, b, c, ring, degrees):
     return in_subgroup_mod(dga, first.degree, diff, first.indeterminacy, ring)
 
 
-def massey_scaling_check(source, a, b, c, degrees, exponents, p, precision):
+def massey_scaling_check(dga, a, b, c, degrees, exponents, p, precision):
     """m(p^r a, p^s b, p^t c) = p^{r+s+t} m(a, b, c) as cosets over Z/p^N."""
-    dga = source if isinstance(source, DgaData) else DgaData.from_space(source)
     r, s, t = exponents
     ring = ("Zmod", p ** precision)
     base = triple_massey(dga, a, b, c, ring, degrees)
@@ -363,14 +358,13 @@ def massey_coset_from_result(dga, result):
 # rectification obstruction
 # ---------------------------------------------------------------------------
 
-def rectification_obstruction(source, a, b, degrees):
+def rectification_obstruction(dga, a, b, degrees):
     """m(a, b, a) over F_2, with the Sq-route report.
 
     verdict is "obstructed" when the coset omits zero; the report also gives
     the class of (a u_1 a) u b and whether it lies in a.H^{|a|+|b|-1}, the
     sufficiency route of the obstruction argument.
     """
-    dga = source if isinstance(source, DgaData) else DgaData.from_space(source)
     qa, qb = degrees
     ring = ("GF", 2)
     result = triple_massey(dga, a, b, a, ring, (qa, qb, qa))

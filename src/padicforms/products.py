@@ -214,45 +214,6 @@ def steenrod_square(space, i, vector, degree, reports=None):
     return list(sq.values), report_at(degree + i)
 
 
-# -- block permutation composition ----------------------------------------------
-
-def block_compose(outer, inner):
-    """Compose permutations blockwise: inner ones act within blocks, the outer
-    permutation then rearranges the blocks, keeping each block's order.
-
-    Permutations are one-line tuples of 0-based images; outer has one entry per
-    block, inner[k] permutes block k of size len(inner[k]).  Returns the
-    one-line composite on sum(sizes) letters.
-    """
-    r = len(outer)
-    if sorted(outer) != list(range(r)):
-        raise ValueError("outer is not a permutation")
-    if len(inner) != r:
-        raise ValueError("need one inner permutation per block")
-    sizes = []
-    for k, pi in enumerate(inner):
-        if sorted(pi) != list(range(len(pi))):
-            raise ValueError(f"inner[{k}] is not a permutation")
-        sizes.append(len(pi))
-    # position of block k after the outer shuffle: blocks are rearranged so
-    # that block k lands in slot outer[k]
-    offset_in = [sum(sizes[:k]) for k in range(r)]
-    order_out = sorted(range(r), key=lambda k: outer[k])
-    offset_out = {}
-    pos = 0
-    for k in order_out:
-        offset_out[k] = pos
-        pos += sizes[k]
-    total = sum(sizes)
-    image = [None] * total
-    for k in range(r):
-        for t in range(sizes[k]):
-            image[offset_in[k] + t] = offset_out[k] + inner[k][t]
-    if sorted(image) != list(range(total)):
-        raise StructuralError("block composition failed to be a permutation")
-    return tuple(image)
-
-
 # -- cohomology ring of a space --------------------------------------------------
 
 def cup_on_vectors(space, p_deg, q_deg, v1, v2, ring, i=0):

@@ -32,11 +32,6 @@ SCHEMA = {
         "name": str, "cells": [int], "euler_characteristic": int,
         "text": str,
     },
-    "lattice": {
-        "version": str, "kind": str, "manifest": dict,
-        "level": int, "weight": int, "prime": int,
-        "degrees": [dict], "closure_equals_naive_span": bool,
-    },
 }
 
 
@@ -114,31 +109,6 @@ def verify_report(manifest, suites):
         "manifest": manifest,
         "suites": suites,
         "passed": all(s.get("passed") for s in suites),
-    }
-
-
-def lattice_report(manifest, level):
-    """Serialize an OmegaLevel basis: monomials as exponent vectors plus the
-    sorted dx index set, one block per form degree."""
-    degrees = []
-    for k in sorted(level.basis):
-        degrees.append({
-            "degree": k,
-            "monomials": [{"exponents": list(m.exponents), "dx": list(m.dx)}
-                          for m in level.basis[k]],
-            "differential": [[rat(x) for x in row]
-                             for row in level.diff_matrix(k)],
-        })
-    comparison = level.closure_comparison()
-    return {
-        "version": SCHEMA_VERSION,
-        "kind": "lattice",
-        "manifest": manifest,
-        "level": level.n,
-        "weight": level.weight,
-        "prime": level.prime,
-        "degrees": degrees,
-        "closure_equals_naive_span": comparison["closure_equals_naive_span"],
     }
 
 

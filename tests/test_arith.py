@@ -10,8 +10,6 @@ from padicforms.arith import (
     SessionConfig,
     binomial,
     factorial_valuation,
-    is_p_integral,
-    p_power_over_factorial_valuation,
     valuation,
 )
 
@@ -74,11 +72,6 @@ def test_valuation_ultrametric():
                 assert valuation(q1 + q2, p) == min(v1, v2)
 
 
-def test_p_integrality_matches_denominator():
-    assert is_p_integral(Fraction(3, 4), 3)
-    assert not is_p_integral(Fraction(3, 4), 2)
-
-
 def test_binomial_values():
     assert binomial(4, 2) == 6
     assert binomial(17, 0) == 1
@@ -110,21 +103,6 @@ def test_factorial_valuation_legendre():
                 m //= p
                 v += 1
             assert factorial_valuation(n, p) == v
-
-
-def test_p_power_over_factorial_examples():
-    # v_2(3!) = 1 so the valuation of 2^3/3! is 2
-    assert p_power_over_factorial_valuation(3, 2) == 2
-    assert p_power_over_factorial_valuation(0, 7) == 0
-    for p in (2, 3, 5, 7):
-        assert p_power_over_factorial_valuation(p, p) == p - 1
-
-
-def test_p_power_over_factorial_nonnegative_small():
-    # p-integrality of divided powers of p, for the range the lattices use
-    for p in (2, 3, 5):
-        for i in range(0, 60):
-            assert p_power_over_factorial_valuation(i, p) >= 0
 
 
 def test_session_config_validation():

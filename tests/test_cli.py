@@ -213,6 +213,20 @@ def test_schema_failure_is_internal_error(monkeypatch, capsys):
                             "  degrees: missing\n")
 
 
+def test_massey_coset_recheck_failure_is_internal_error(monkeypatch, capsys):
+    argv = ["massey", "--space", "rp2", "--degrees", "1,1,1",
+            "--coefficients", "zmod"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "massey_coset_stable", lambda *args: False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("internal error: a second defining system gave "
+                            "another coset\n")
+
+
 def test_unwritable_out_file_is_configuration_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code = main(["cohomology", "--space", "rp2", "--out", str(target)])

@@ -18,11 +18,8 @@ from padicforms.derham import (
     OmegaLevel,
     OmegaLevels,
     SectionComplex,
-    apl_cocycle_monomials,
     apl_mod_p,
     build_omega,
-    contraction_K,
-    contraction_homotopy_defect,
     evaluate_at_point,
     extendability_witness,
     form_class_coordinates,
@@ -32,7 +29,6 @@ from padicforms.derham import (
     omega_degeneracy,
     omega_face,
     omega_levels,
-    omega_of_space,
     rational_poincare_dims,
     stable_cohomology,
 )
@@ -72,11 +68,11 @@ def test_desk_scale_bounds():
 
 
 def test_closure_generators_are_p_integral():
+    # building a level runs the closure check, which raises on a generator
+    # that escapes the divided-power lattice
     for p in (2, 3):
         for n in (1, 2):
-            lv = build_omega(n, 4, p)
-            report = lv.closure_comparison()
-            assert report["closure_equals_naive_span"]
+            OmegaLevel(n, 4, p)
 
 
 def _frozen_bounded_exponents(n, budget):
@@ -248,7 +244,7 @@ def test_level_family_memo_stays_bounded():
 
 def test_omega_s1_degree0_contains_ideal_generator():
     # x_1^2 - p x_1 = 2 x^[2] - p x: equal vertex values, hence a section
-    cx = omega_of_space(sphere(1), 4, 2, 2)
+    cx = SectionComplex(sphere(1), omega_levels(4, 2), 2)
     lv = cx.levels.level(1)
     elem = OmegaElement(1, {mono((2,)): Fraction(2), mono((1,)): Fraction(-2)})
     offs, total = cx.cell_block(0)
@@ -265,7 +261,7 @@ def test_omega_s1_degree0_contains_ideal_generator():
 
 def test_omega_s1_degree1_is_whole_level():
     # 1-forms have no compatibility constraints on the circle
-    cx = omega_of_space(sphere(1), 4, 2, 2)
+    cx = SectionComplex(sphere(1), omega_levels(4, 2), 2)
     lv = cx.levels.level(1)
     assert len(cx.sections[1]) == lv.dims(1)
 
@@ -304,7 +300,7 @@ def test_omega_sphere2_h2_generator():
 
 
 def test_omega_sphere2_clean_at_low_weight():
-    cx = omega_of_space(sphere(2), 3, 2, 2)
+    cx = SectionComplex(sphere(2), omega_levels(3, 2), 2)
     assert cx.cohomology(0).invariants() == (1, [])
     assert cx.cohomology(1).invariants() == (0, [])
     assert cx.cohomology(2).invariants() == (1, [])
@@ -312,7 +308,7 @@ def test_omega_sphere2_clean_at_low_weight():
 
 def test_omega_rp2_compatibility_relations():
     # the printed edge relations: restrictions of the two triangle forms agree
-    cx = omega_of_space(rp2(), 3, 2, 2)
+    cx = SectionComplex(rp2(), omega_levels(3, 2), 2)
     levels = cx.levels
     for sec in cx.sections[1]:
         offs, _ = cx.cell_block(1)
@@ -408,10 +404,10 @@ def test_pi1_ladder():
 def test_apl_interval_mod2_cocycles():
     # degree-0 cocycles: exactly the even powers t^{2k} within weight
     weight = 8
-    data = apl_cocycle_monomials(1, 2, weight)
-    basis0, ker0 = data[0]
+    out = apl_mod_p(1, 2, weight)
+    basis0 = out["basis"][0]
     cocycle_exps = set()
-    for vec in ker0:
+    for vec in out["reports"][0].generators:
         support = [basis0[i] for i, c in enumerate(vec) if c % 2]
         assert len(support) == 1
         cocycle_exps.add(support[0][0][0])
@@ -459,13 +455,6 @@ def test_apl_square_mod2_class_count():
 def test_rational_control_poincare():
     assert rational_poincare_dims(1, 6) == [0, 0]
     assert rational_poincare_dims(2, 4) == [0, 0, 0]
-
-
-def test_contraction_examples():
-    assert contraction_K({1: 1}) == {2: Fraction(1, 2)}
-    assert contraction_K({0: 1}) == {1: Fraction(1)}
-    assert contraction_homotopy_defect({3: 1}) == {}
-    assert contraction_homotopy_defect({0: 5, 2: 3, 7: Fraction(1, 2)}) == {}
 
 
 # -- oracles for the per-cell section machinery ---------------------------------------
@@ -606,6 +595,56 @@ def test_face_and_degeneracy_builder_match_frozen_copies():
                             assert _dense(rows, dim) == frozen
                             images = [apply_rows(rows, e) for e in identity_rows(dim)]
                             assert columns_to_rows(images, len(frozen)) == frozen
+
+
+def _face_defects(cx, k, vec):
+    """For each face i of each cell: the face of the cell's block minus the
+    face cell's block carried up along the face's degeneracy word."""
+    offs, _ = cx.cell_block(k)
+    out = []
+    for name, d in cx.cells:
+        if d == 0:
+            continue
+        off, width = offs[name]
+        for i in range(d + 1):
+            img = cx.space.faces[(name, i)]
+            b_off, b_width = offs[img.base]
+            lifted = vec[b_off:b_off + b_width]
+            level = cx.space.dim_of(img.base)
+            for j in reversed(img.word):
+                lifted = apply_rows(cx.levels.degen_rows(level, j, k), lifted)
+                level += 1
+            face = apply_rows(cx.levels.face_rows(d, i, k), vec[off:off + width])
+            out.extend(x - y for x, y in zip(face, lifted))
+    return out
+
+
+def test_sections_are_the_saturated_kernel_of_the_face_constraints():
+    """Each section satisfies every face constraint; the sections have unit
+    elementary divisors over the local ring (so they span a saturated
+    lattice); and there are as many as the corank of the constraints."""
+    from padicforms.massey import random_space
+    for seed, p in ((0, 2), (1, 3)):
+        space = random_space(seed, 3, 5, 3)
+        for levels in (OmegaLevels(3, p),
+                       TensorLevels(VLevels(p), OmegaLevels(2, p))):
+            cx = SectionComplex(space, levels, min(3, space.dimension))
+            for k, sections in cx.sections.items():
+                case = (seed, p, type(levels).__name__, k)
+                _, total = cx.cell_block(k)
+                for sec in sections:
+                    assert not any(_face_defects(cx, k, sec)), case
+                if sections:
+                    _, diag, _, _ = fraction_p_local_snf(sections, p)
+                    assert len(diag) == len(sections), case
+                    assert all(x and valuation(x, p) == 0 for x in diag), case
+                columns = [_face_defects(cx, k, e) for e in identity_rows(total)]
+                rows = columns_to_rows(columns, len(columns[0])) if columns else []
+                dens = [lcm(*(Fraction(x).denominator for x in row)) for row in rows]
+                rank = IntFactorization(SparseIntMatrix.from_rows(
+                    [[int(x * d) for x in row] for row, d in zip(rows, dens)],
+                    total)).rank
+                assert len(sections) == total - rank, case
 
 
 # -- frozen copy of the express-by-refactoring path ---------------------------------
@@ -792,6 +831,8 @@ def test_section_complex_matches_frozen_refactoring_copy():
             old[q] = _frozen_p_local_cohomology(diffs[q - 1], diffs[q], cx.prime)
             assert report.invariants() == old[q][0], (case, q)
             assert report.generators == old[q][1], (case, q)
+        if isinstance(levels, TensorLevels):
+            continue   # no report multiplies tensor sections
         live_table = _products(cx, q_max, {q: r.generators for q, r in live.items()},
                                {q: r.class_coordinates for q, r in live.items()})
         old_table = _products(frozen, q_max, {q: o[1] for q, o in old.items()},

@@ -7,8 +7,6 @@ from padicforms.divided import (
     LinearForm,
     OmegaElement,
     TruncationError,
-    gamma_multiply,
-    gamma_of_sum,
     gamma_power,
     gamma_tensor_oracle,
     one_monomial,
@@ -24,51 +22,55 @@ def mono(exps, dx=()):
 
 def test_gamma_multiply_binomial_rule():
     # x^[1] x^[1] = 2 x^[2]
-    got = gamma_multiply(mono((1,)), mono((1,)))
+    got = OmegaElement.monomial(mono((1,))).multiply(
+        OmegaElement.monomial(mono((1,))))
     assert got == OmegaElement(1, {mono((2,)): Fraction(2)})
-    got = gamma_multiply(mono((2, 0)), mono((3, 0)))
+    got = OmegaElement.monomial(mono((2, 0))).multiply(
+        OmegaElement.monomial(mono((3, 0))))
     assert got == OmegaElement(2, {mono((5, 0)): Fraction(10)})
 
 
 def test_gamma_multiply_unit():
     m = mono((1, 2), (1,))
-    assert gamma_multiply(one_monomial(2), m) == OmegaElement.monomial(m)
+    assert OmegaElement.monomial(one_monomial(2)).multiply(
+        OmegaElement.monomial(m)) == OmegaElement.monomial(m)
 
 
 def test_exterior_square_vanishes():
     d = mono((0,), (1,))
-    assert gamma_multiply(d, d).is_zero()
+    assert OmegaElement.monomial(d).multiply(OmegaElement.monomial(d)).is_zero()
 
 
 def test_koszul_sign_of_wedge():
     dx1 = mono((0, 0), (1,))
     dx2 = mono((0, 0), (2,))
-    m12 = gamma_multiply(dx1, dx2)
-    m21 = gamma_multiply(dx2, dx1)
+    m12 = OmegaElement.monomial(dx1).multiply(OmegaElement.monomial(dx2))
+    m21 = OmegaElement.monomial(dx2).multiply(OmegaElement.monomial(dx1))
     assert m12 == OmegaElement(2, {mono((0, 0), (1, 2)): Fraction(1)})
     assert m21 == OmegaElement(2, {mono((0, 0), (1, 2)): Fraction(-1)})
 
 
 def test_truncation_error_reported():
     with pytest.raises(TruncationError):
-        gamma_multiply(mono((2,)), mono((2,)), max_weight=3)
+        OmegaElement.monomial(mono((2,))).multiply(
+            OmegaElement.monomial(mono((2,))), max_weight=3)
 
 
 def test_gamma_of_sum_two_variables():
     # gamma^2(x_1 + x_2) = x_1^[2] + x_1 x_2 + x_2^[2]
-    got = gamma_of_sum([(1, 1), (2, 1)], 2, 2)
+    got = gamma_power(LinearForm(Fraction(0), (Fraction(1), Fraction(1))), 2)
     want = OmegaElement(2, {mono((2, 0)): 1, mono((1, 1)): 1, mono((0, 2)): 1})
     assert got == want
 
 
 def test_gamma_of_sum_linear_is_identity():
-    got = gamma_of_sum([(1, 3)], 1, 1)
+    got = gamma_power(LinearForm(Fraction(0), (Fraction(3),)), 1)
     assert got == OmegaElement(1, {mono((1,)): Fraction(3)})
 
 
 def test_gamma_of_sum_with_constant_p2():
     # gamma^2(p - x_1) at p = 2: 2 - 2 x_1 + x_1^[2]
-    got = gamma_of_sum([(None, 2), (1, -1)], 2, 1)
+    got = gamma_power(LinearForm(Fraction(2), (Fraction(-1),)), 2)
     want = OmegaElement(1, {mono((0,)): 2, mono((1,)): -2, mono((2,)): 1})
     assert got == want
 
@@ -76,7 +78,7 @@ def test_gamma_of_sum_with_constant_p2():
 def test_gamma_of_sum_additivity_property():
     # gamma^n(u + v) = sum gamma^i(u) gamma^{n-i}(v) for separate variables
     for n in range(1, 5):
-        lhs = gamma_of_sum([(1, 1), (2, 1)], n, 2)
+        lhs = gamma_power(LinearForm(Fraction(0), (Fraction(1), Fraction(1))), n)
         rhs = OmegaElement.zero(2)
         for i in range(n + 1):
             left = gamma_power(variable(1, 2), i)

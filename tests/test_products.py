@@ -29,7 +29,6 @@ from padicforms.simplicial import (
     zero_cochain,
 )
 from padicforms.products import (
-    block_compose,
     cohomology_ring,
     cup,
     cup_i,
@@ -262,92 +261,6 @@ def test_top_square_axiom_on_classes():
                 vec, out = steenrod_square(space, q, gen, q)
                 x = Cochain(space, q, ("GF", 2), tuple(gen))
                 assert vec == list(cup(x, x).values)
-
-
-# -- block permutation composition ------------------------------------------------------
-
-def test_block_compose_identity():
-    assert block_compose((0, 1), [(0,), (0, 1)]) == (0, 1, 2)
-
-
-def test_block_compose_swap():
-    # block of size 2 moves ahead of the block of size 1:
-    # one-line images (0-based): 0 -> 2, 1 -> 0, 2 -> 1
-    assert block_compose((1, 0), [(0,), (0, 1)]) == (2, 0, 1)
-
-
-def test_block_compose_inner_action():
-    assert block_compose((0, 1), [(1, 0), (0,)]) == (1, 0, 2)
-
-
-def compose_perms(f, g):
-    """(f o g)(x) = f(g(x)), one-line tuples."""
-    return tuple(f[g[x]] for x in range(len(g)))
-
-
-def brute_block_perm(outer, sizes):
-    """Oracle: list the blocks, shuffle them by outer, read off the images."""
-    slots = [[] for _ in range(len(sizes))]
-    start = 0
-    for k, size in enumerate(sizes):
-        slots[outer[k]] = list(range(start, start + size))
-        start += size
-    flat = [x for slot in slots for x in slot]
-    # flat[new_position] = old_position; invert to get images
-    image = [0] * len(flat)
-    for newpos, old in enumerate(flat):
-        image[old] = newpos
-    return tuple(image)
-
-
-def test_block_compose_against_bruteforce():
-    rng = random.Random(37)
-    for _ in range(120):
-        r = rng.randint(1, 3)
-        outer = list(range(r))
-        rng.shuffle(outer)
-        sizes = [rng.randint(1, 3) for _ in range(r)]
-        inner = []
-        for s in sizes:
-            pi = list(range(s))
-            rng.shuffle(pi)
-            inner.append(tuple(pi))
-        got = block_compose(tuple(outer), inner)
-        # oracle: inner permutations first, then the block shuffle
-        blockperm = brute_block_perm(tuple(outer), sizes)
-        within = []
-        start = 0
-        for k, s in enumerate(sizes):
-            within.extend(start + inner[k][t] for t in range(s))
-            start += s
-        direct = compose_perms(blockperm, tuple())
-        oneline = tuple(blockperm[within[x]] for x in range(len(within)))
-        assert got == oneline
-
-
-def test_block_compose_operad_associativity():
-    rng = random.Random(43)
-    for _ in range(60):
-        r = rng.randint(1, 3)
-        outer = list(range(r))
-        rng.shuffle(outer)
-        sizes = [rng.randint(1, 3) for _ in range(r)]
-        mids = []
-        for s in sizes:
-            pi = list(range(s))
-            rng.shuffle(pi)
-            mids.append(tuple(pi))
-        inner_sizes = [[rng.randint(1, 2) for _ in range(s)] for s in sizes]
-        inners = [[tuple(rng.sample(range(sz), sz)) for sz in row]
-                  for row in inner_sizes]
-        # route 1: compose outer with mids, then with the flattened inners
-        first = block_compose(tuple(outer), mids)
-        flat_inners = [inners[k][t] for k in range(r) for t in range(sizes[k])]
-        route1 = block_compose(first, flat_inners)
-        # route 2: compose each mid with its own inners, then outer with those
-        partials = [block_compose(mids[k], inners[k]) for k in range(r)]
-        route2 = block_compose(tuple(outer), partials)
-        assert route1 == route2
 
 
 # -- cohomology ring -------------------------------------------------------------------

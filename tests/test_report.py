@@ -3,15 +3,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from padicforms.derham import build_omega
 from padicforms.report import (
     SCHEMA_VERSION,
     dump_json,
-    lattice_report,
     rat,
+    space_report,
     validate_report,
     vec,
 )
+from padicforms.simplicial import rp2
 
 
 def test_rational_strings():
@@ -20,26 +20,12 @@ def test_rational_strings():
     assert vec([0, -12, Fraction(1, 3), Fraction(6, 3)]) == ["0", "-12", "1/3", "2"]
 
 
-def test_lattice_report_schema_and_content():
-    level = build_omega(1, 3, 2)
-    payload = lattice_report({"command": "lattice"}, level)
-    assert validate_report(payload) == []
-    deg0 = next(d for d in payload["degrees"] if d["degree"] == 0)
-    exps = [m["exponents"] for m in deg0["monomials"]]
-    assert [0] in exps and [3] in exps
-    deg1 = next(d for d in payload["degrees"] if d["degree"] == 1)
-    assert all(m["dx"] == [1] for m in deg1["monomials"])
-    assert payload["closure_equals_naive_span"] is True
-    # deterministic bytes
-    assert dump_json(payload) == dump_json(json.loads(dump_json(payload)))
-
-
 def test_validator_flags_problems():
-    level = build_omega(1, 2, 2)
-    payload = lattice_report({}, level)
+    payload = space_report({}, rp2())
+    assert validate_report(payload) == []
     bad = dict(payload)
-    bad.pop("weight")
-    assert any("weight" in e for e in validate_report(bad))
+    bad.pop("name")
+    assert any("name" in e for e in validate_report(bad))
     bad2 = dict(payload)
     bad2["extra"] = 1
     assert any("unexpected" in e for e in validate_report(bad2))
